@@ -148,10 +148,14 @@ bench-json:
 	BENCH_JSON=BENCH_10.json $(GO) test -run TestHybridBenchArtifact -v .
 
 # Quick end-to-end exercise of the harness: one scenario, 4 workers,
-# determinism gate on. Artifacts land in sweep-out/.
+# determinism gate on. Artifacts land in sweep-out/. Then the -paper
+# path on one registry-backed entry (sec7-loss, swept into
+# sweep-out/paper/sec7-loss/) and one direct entry (fig14).
 sweep-smoke:
 	$(GO) run ./cmd/dcqcn-sweep -scenario randomloss -parallel 4 \
 		-check-determinism -quiet -out sweep-out
+	$(GO) run ./cmd/dcqcn-sweep -paper -scenario sec7-loss,fig14 -seeds 1 \
+		-check-determinism -quiet -out sweep-out/paper
 
 # The full evaluation sweep (every registered scenario).
 sweep:

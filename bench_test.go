@@ -8,7 +8,7 @@ package dcqcn
 //
 // reproduces the whole evaluation. The shapes to expect (who wins, by
 // what factor) are recorded in EXPERIMENTS.md; for publication-grade
-// statistics run `go run ./cmd/dcqcn-experiments -full`.
+// statistics run `go run ./cmd/dcqcn-sweep -paper -full`.
 
 import (
 	"testing"

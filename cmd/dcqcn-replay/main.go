@@ -66,9 +66,7 @@ func main() {
 	if *full {
 		fid = experiments.Full()
 	}
-	reg := harness.NewRegistry()
-	experiments.RegisterScenarios(reg, fid)
-	experiments.RegisterChaosScenarios(reg, fid)
+	reg := experiments.Registry(fid)
 
 	if *list {
 		for _, sc := range reg.All() {

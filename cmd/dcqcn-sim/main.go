@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"dcqcn"
+	"dcqcn/internal/harness"
 )
 
 func main() {
@@ -42,11 +43,18 @@ func main() {
 	g := flag.Float64("g", 1.0/256, "DCQCN alpha gain g")
 	timer := flag.Duration("timer", 55*time.Microsecond, "rate increase timer")
 	bc := flag.Int64("bc", 10_000_000, "byte counter (bytes)")
-	shards := flag.Int("shards", 0, "shard the simulation across N cores (star rigs cannot split and stay sequential)")
-	ccName := flag.String("cc", "dcqcn", "congestion-control algorithm (internal/cc registry name)")
-	hybrid := flag.Bool("hybrid", false, "arm the fluid background substrate (see -bg-flows)")
-	bgFlows := flag.Int("bg-flows", 0, "background flows modeled as fluid classes (> 0 implies -hybrid)")
+	var rc harness.RunConfig
+	rc.Bind(flag.CommandLine)
 	flag.Parse()
+	runs, err := rc.Resolve()
+	if err == nil && len(runs) > 1 {
+		err = fmt.Errorf("-cc takes a single algorithm")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	run := runs[0]
 
 	params := dcqcn.DefaultParams()
 	params.KMin, params.KMax, params.PMax = *kmin, *kmax, *pmax
@@ -58,7 +66,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := dcqcn.DefaultOptions().WithDCQCN(params).WithShards(*shards)
+	opts := dcqcn.DefaultOptions().WithDCQCN(params).WithShards(run.Shards)
 	switch *mode {
 	case "dcqcn":
 	case "pfc":
@@ -69,21 +77,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
-	if *ccName != "dcqcn" {
+	if run.CC != "dcqcn" {
 		if *mode != "dcqcn" {
 			fmt.Fprintln(os.Stderr, "-cc requires -mode dcqcn")
 			os.Exit(2)
 		}
-		var err error
-		if opts, err = opts.WithCC(*ccName); err != nil {
+		if opts, err = opts.WithCC(run.CC); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}
 	// Last, so the substrate inherits the marking profile the mode and
 	// cc flags settled on.
-	if *hybrid || *bgFlows > 0 {
-		opts = opts.WithBackgroundFlows(*bgFlows)
+	if run.Hybrid {
+		opts = opts.WithBackgroundFlows(run.BgFlows)
 	}
 
 	sim := dcqcn.NewStarNetwork(*seed, *senders+1, opts)
@@ -129,8 +136,8 @@ func main() {
 
 	sw := sim.Switch("SW")
 	fmt.Printf("%d:1 incast, %s chunks, %v, mode=%s\n", *senders, byteCount(*chunk), horizon, *mode)
-	if *hybrid || *bgFlows > 0 {
-		fmt.Printf("  hybrid:  %d background flows as fluid classes\n", *bgFlows)
+	if run.Hybrid {
+		fmt.Printf("  hybrid:  %d background flows as fluid classes\n", run.BgFlows)
 	}
 	fmt.Printf("  goodput: min=%.2fG p50=%.2fG max=%.2fG total=%.1fG (fair share %.2fG)\n",
 		rates[0], rates[*senders/2], rates[*senders-1], total, 40.0/float64(*senders))

@@ -14,7 +14,7 @@
 //	            [-seeds N] [-out dir] [-full] [-check-determinism]
 //	            [-bench] [-list] [-quiet] [-record] [-shards N]
 //	            [-cc name[,name...]] [-cc-params json] [-list-cc]
-//	            [-hybrid] [-bg-flows N]
+//	            [-hybrid] [-bg-flows N] [-paper]
 //
 // -check-determinism reruns every (point, seed) at least twice and fails
 // loudly unless engine digests and metrics are bit-identical — the gate
@@ -35,9 +35,16 @@
 // -bg-flows alone implies -hybrid. The hybrid-* scenarios (registered
 // regardless) sweep 10k/100k/1M background flows and validate the
 // approximation against pure-packet ground truth.
+//
+// -paper regenerates the paper's tables and figures in the paper's order;
+// -list then lists the entries and -scenario selects them by name. An
+// entry backed by registry scenarios is swept exactly as -scenario would
+// sweep them, with artifacts in <out>/<entry>/; fluid-model, host-model
+// and analytical entries render directly.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -49,37 +56,35 @@ import (
 	"dcqcn/internal/flightrec"
 	"dcqcn/internal/harness"
 	"dcqcn/internal/invariant"
-	"dcqcn/internal/simtime"
+)
+
+var (
+	scenario = flag.String("scenario", "all", "comma-separated scenario names (prefix globs allowed, e.g. ablation-*); with -paper, entry names")
+	parallel = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	reruns   = flag.Int("reruns", 1, "repetitions of every (point, seed) run")
+	out      = flag.String("out", "sweep-out", "artifact directory ('' disables artifacts)")
+	full     = flag.Bool("full", false, "high-fidelity runs (slow)")
+	checkDet = flag.Bool("check-determinism", false, "rerun each (point, seed) and fail on digest mismatch")
+	seedCap  = flag.Int("seeds", 0, "cap seeds per scenario (0 = all registered)")
+	bench    = flag.Bool("bench", false, "also time the grid at -parallel 1 and record the speedup")
+	list     = flag.Bool("list", false, "list scenarios (with -paper, the paper's entries) and exit")
+	quiet    = flag.Bool("quiet", false, "suppress per-run progress")
+	record   = flag.Bool("record", false, "arm the flight recorder on every run (passivity proof; recorded in provenance)")
+	ccParams = flag.String("cc-params", "", "JSON object overlaid onto the selected algorithm's default params (single -cc only)")
+	listCC   = flag.Bool("list-cc", false, "list registered cc algorithms with default params as JSON and exit")
+	paper    = flag.Bool("paper", false, "regenerate the paper's tables and figures in presentation order (see -list)")
 )
 
 func main() {
-	var (
-		scenario = flag.String("scenario", "all", "comma-separated scenario names (prefix globs allowed, e.g. ablation-*)")
-		parallel = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-		reruns   = flag.Int("reruns", 1, "repetitions of every (point, seed) run")
-		out      = flag.String("out", "sweep-out", "artifact directory ('' disables artifacts)")
-		full     = flag.Bool("full", false, "high-fidelity runs (slow)")
-		checkDet = flag.Bool("check-determinism", false, "rerun each (point, seed) and fail on digest mismatch")
-		seedCap  = flag.Int("seeds", 0, "cap seeds per scenario (0 = all registered)")
-		bench    = flag.Bool("bench", false, "also time the grid at -parallel 1 and record the speedup")
-		list     = flag.Bool("list", false, "list scenarios and exit")
-		quiet    = flag.Bool("quiet", false, "suppress per-run progress")
-		record   = flag.Bool("record", false, "arm the flight recorder on every run (passivity proof; recorded in provenance)")
-		shards   = flag.Int("shards", 0, "shard each simulation across N cores (internal/parallel; digests unchanged)")
-		ccSpec   = flag.String("cc", "dcqcn", "comma-separated congestion-control algorithms (see -list-cc)")
-		ccParams = flag.String("cc-params", "", "JSON object overlaid onto the selected algorithm's default params (single -cc only)")
-		listCC   = flag.Bool("list-cc", false, "list registered cc algorithms with default params as JSON and exit")
-		hybrid   = flag.Bool("hybrid", false, "arm the fluid background substrate on every run (see -bg-flows)")
-		bgFlows  = flag.Int("bg-flows", 0, "background flows modeled as fluid classes (> 0 implies -hybrid)")
-	)
+	var rc harness.RunConfig
+	rc.Bind(flag.CommandLine)
 	flag.Parse()
 
 	if *listCC {
 		for _, name := range cc.Names() {
-			sel, err := cc.Select(name, 40*simtime.Gbps)
+			sel, err := harness.RunConfig{CC: name}.Selection()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail(err)
 			}
 			fmt.Printf("%-14s signals=%-28s %s\n  defaults: %s\n",
 				sel.Name, sel.Caps(), sel.Algorithm.Description, sel.ParamsJSON())
@@ -87,20 +92,17 @@ func main() {
 		return
 	}
 
-	sels, err := cc.ParseSelections(*ccSpec, 40*simtime.Gbps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	base := experiments.Quick()
+	if *full {
+		base = experiments.Full()
 	}
+	rc.Fidelity = base.Fidelity
 	if *ccParams != "" {
-		if len(sels) != 1 {
-			fmt.Fprintln(os.Stderr, "dcqcn-sweep: -cc-params requires exactly one -cc algorithm")
-			os.Exit(2)
-		}
-		if err := sels[0].ApplyParamsJSON([]byte(*ccParams)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		rc.CCParams = json.RawMessage(*ccParams)
+	}
+	runs, err := rc.Resolve()
+	if err != nil {
+		usage(err)
 	}
 
 	if *record {
@@ -111,174 +113,78 @@ func main() {
 		flightrec.Arm(flightrec.Config{}, nil)
 	}
 
-	baseFid := experiments.Quick()
-	fidName := "quick"
-	if *full {
-		baseFid = experiments.Full()
-		fidName = "full"
-	}
-	baseFid.Shards = *shards
-	baseFid.Hybrid = *hybrid || *bgFlows > 0
-	baseFid.BgFlows = *bgFlows
-
 	if *list {
-		reg := harness.NewRegistry()
-		experiments.RegisterScenarios(reg, baseFid)
-		experiments.RegisterChaosScenarios(reg, baseFid)
-		experiments.RegisterHybridScenarios(reg, baseFid)
-		for _, sc := range reg.All() {
+		if *paper {
+			for _, f := range experiments.Figures() {
+				fmt.Printf("%-10s %s\n", f.Name, f.Desc)
+			}
+			return
+		}
+		for _, sc := range experiments.Registry(base).All() {
 			fmt.Printf("%-18s %3d points x %d seeds  %s\n",
 				sc.Name, len(sc.Points), len(sc.Seeds), sc.Description)
 		}
 		return
 	}
 
+	if *paper {
+		if len(runs) > 1 {
+			usage(fmt.Errorf("-paper takes a single -cc algorithm"))
+		}
+		figs, err := experiments.SelectFigures(*scenario)
+		if err != nil {
+			usage(fmt.Errorf("%v; use -paper -list", err))
+		}
+		fid := base
+		fid.RunConfig = runs[0]
+		reg := experiments.Registry(fid)
+		for _, f := range figs {
+			if f.Render == nil {
+				fmt.Printf("=== %s — %s\n", f.Name, f.Desc)
+				dir := *out
+				if dir != "" {
+					dir = filepath.Join(dir, f.Name)
+				}
+				sweep(selectScenarios(reg, f.Scenarios), runs[0], dir, true)
+				continue
+			}
+			start := time.Now()
+			text := f.Render(fid)
+			fmt.Printf("=== %s — %s [%.1fs]\n%s\n", f.Name, f.Desc, time.Since(start).Seconds(), text)
+		}
+		return
+	}
+
 	// The whole scenario matrix runs once per selected algorithm; with a
 	// single -cc name this collapses to the classic single-sweep layout.
-	multi := len(sels) > 1
+	multi := len(runs) > 1
 	cmp := harness.CCComparison{SchemaVersion: 1}
-	for i, sel := range sels {
-		fid := baseFid
-		fid.CC = sel.Name
-		if *ccParams != "" {
-			fid.CCParams = sel.ParamsJSON()
-		}
-		reg := harness.NewRegistry()
-		experiments.RegisterScenarios(reg, fid)
-		experiments.RegisterChaosScenarios(reg, fid)
-		experiments.RegisterHybridScenarios(reg, fid)
-		scs, err := reg.Select(*scenario)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *seedCap > 0 {
-			for i := range scs {
-				if len(scs[i].Seeds) > *seedCap {
-					scs[i].Seeds = scs[i].Seeds[:*seedCap]
-				}
-			}
-		}
+	for i, run := range runs {
+		fid := base
+		fid.RunConfig = run
+		scs := selectScenarios(experiments.Registry(fid), *scenario)
 		dir := *out
-		if multi && dir != "" {
-			dir = filepath.Join(dir, "cc-"+sel.Name)
-		}
 		if multi {
-			fmt.Fprintf(os.Stderr, "== cc=%s (%d/%d)\n", sel.Name, i+1, len(sels))
-		}
-
-		prov := harness.NewProvenance("dcqcn-sweep")
-		prov.Parallel = *parallel
-		prov.Reruns = *reruns
-		prov.Shards = *shards
-		prov.Determinism = *checkDet
-		prov.Fidelity = fidName
-		prov.Hybrid = fid.Hybrid
-		prov.BgFlows = fid.BgFlows
-		prov.CC = sel.Name
-		prov.CCParams = sel.ParamsJSON()
-		prov.Describe(scs)
-
-		if *bench {
-			fmt.Fprintf(os.Stderr, "timing sequential baseline (-parallel 1)...\n")
-			seqCfg := harness.Config{Parallel: 1, Reruns: *reruns}
-			if *checkDet && seqCfg.Reruns < 2 {
-				seqCfg.Reruns = 2 // match the gate's forced rerun count
+			if dir != "" {
+				dir = filepath.Join(dir, "cc-"+run.CC)
 			}
-			seq, err := harness.Sweep(scs, seqCfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			prov.SequentialWallMS = float64(seq.Wall) / float64(time.Millisecond)
-			fmt.Fprintf(os.Stderr, "sequential: %.1fs\n", seq.Wall.Seconds())
+			fmt.Fprintf(os.Stderr, "== cc=%s (%d/%d)\n", run.CC, i+1, len(runs))
 		}
-
-		cfg := harness.Config{
-			Parallel:         *parallel,
-			Reruns:           *reruns,
-			CheckDeterminism: *checkDet,
-		}
-		if !*quiet {
-			cfg.Progress = func(done, total int, rec harness.RunRecord) {
-				fmt.Fprintf(os.Stderr, "\r[%d/%d] %s/%s seed=%d (%.0f ms)        ",
-					done, total, rec.Scenario, rec.Point, rec.Seed, rec.WallMS)
-			}
-		}
-		var rawFile *os.File
-		if dir != "" {
-			rawFile, err = harness.OpenRawWriter(dir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			cfg.RawWriter = rawFile
-		}
-
-		res, sweepErr := harness.Sweep(scs, cfg)
-		if rawFile != nil {
-			if err := rawFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if !*quiet {
-			fmt.Fprintln(os.Stderr)
-		}
-		if sweepErr != nil {
-			fmt.Fprintln(os.Stderr, sweepErr)
-			if res != nil {
-				for _, v := range res.DeterminismViolations {
-					fmt.Fprintf(os.Stderr, "  violation: %s\n", v)
-				}
-			}
-			os.Exit(1)
-		}
-
-		prov.Record(res)
-		if prov.SequentialWallMS > 0 && prov.WallMS > 0 {
-			prov.Speedup = prov.SequentialWallMS / prov.WallMS
-		}
-
-		if !multi {
-			for _, sc := range scs {
-				fmt.Printf("=== %s — %s\n%s\n", sc.Name, sc.Description, res.Table(sc.Name))
-			}
-		}
-		fmt.Printf("cc=%s: %d runs, %d simulated events, wall %.1fs\n",
-			sel.Name, len(res.Records), res.TotalEvents, res.Wall.Seconds())
-		if *checkDet {
-			fmt.Println("determinism gate: PASS (identical digests across reruns)")
-		}
-		if invariant.Enabled {
-			fmt.Println("invariants auditor: armed (built with -tags invariants); no violations")
-		}
-		if flightrec.Armed() {
-			fmt.Println("flight recorder: armed on every run (-record); digests unchanged by recording")
-		}
-		if prov.Speedup > 0 {
-			fmt.Printf("speedup vs sequential: %.2fx (%.1fs -> %.1fs)\n",
-				prov.Speedup, prov.SequentialWallMS/1000, prov.WallMS/1000)
-		}
-
-		if dir != "" {
-			if err := harness.WriteArtifacts(dir, res, prov); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("artifacts: %s\n", filepath.Join(dir, "{"+harness.RawRunsFile+","+harness.SummaryFile+","+harness.ProvenanceFile+"}"))
-		}
-
+		res, prov := sweep(scs, run, dir, !multi)
 		if i == 0 {
 			cmp.Scenarios = prov.Scenarios
 		}
+		sel, err := run.Selection()
+		if err != nil {
+			usage(err) // unreachable: Resolve validated the selection
+		}
 		cmp.Algorithms = append(cmp.Algorithms, harness.CCAlgoResult{
-			CC:           sel.Name,
+			CC:           run.CC,
 			Capabilities: sel.Caps().String(),
-			Params:       sel.ParamsJSON(),
-			TotalRuns:    len(res.Records),
-			TotalEvents:  res.TotalEvents,
-			WallMS:       float64(res.Wall) / float64(time.Millisecond),
+			Params:       run.CCParams,
+			TotalRuns:    prov.TotalRuns,
+			TotalEvents:  prov.TotalEvents,
+			WallMS:       prov.WallMS,
 			Summaries:    res.Summaries,
 		})
 	}
@@ -288,10 +194,137 @@ func main() {
 		fmt.Printf("\n=== head-to-head (%d algorithms, mean over seeds)\n%s", len(cmp.Algorithms), cmp.Table())
 		if *out != "" {
 			if err := harness.WriteCCComparison(*out, cmp); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail(err)
 			}
 			fmt.Printf("comparison: %s\n", filepath.Join(*out, harness.CCCompareFile))
 		}
 	}
+}
+
+// usage reports a bad flag or selection and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
+}
+
+// fail reports a runtime or gate failure and exits 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// selectScenarios resolves a registry selection and applies the -seeds
+// cap.
+func selectScenarios(reg *harness.Registry, selection string) []harness.Scenario {
+	scs, err := reg.Select(selection)
+	if err != nil {
+		usage(err)
+	}
+	if *seedCap > 0 {
+		for i := range scs {
+			if len(scs[i].Seeds) > *seedCap {
+				scs[i].Seeds = scs[i].Seeds[:*seedCap]
+			}
+		}
+	}
+	return scs
+}
+
+// sweep runs one scenario selection under run, prints its per-scenario
+// tables (when tables is set) and a summary, and writes the artifacts to
+// dir (an empty dir disables them). It exits on any failure.
+func sweep(scs []harness.Scenario, run harness.RunConfig, dir string, tables bool) (*harness.SweepResult, harness.Provenance) {
+	prov := harness.NewProvenance("dcqcn-sweep")
+	prov.Parallel = *parallel
+	prov.Reruns = *reruns
+	prov.Determinism = *checkDet
+	prov.RunConfig = run
+	prov.Describe(scs)
+
+	if *bench {
+		fmt.Fprintf(os.Stderr, "timing sequential baseline (-parallel 1)...\n")
+		seqCfg := harness.Config{Parallel: 1, Reruns: *reruns}
+		if *checkDet && seqCfg.Reruns < 2 {
+			seqCfg.Reruns = 2 // match the gate's forced rerun count
+		}
+		seq, err := harness.Sweep(scs, seqCfg)
+		if err != nil {
+			fail(err)
+		}
+		prov.SequentialWallMS = float64(seq.Wall) / float64(time.Millisecond)
+		fmt.Fprintf(os.Stderr, "sequential: %.1fs\n", seq.Wall.Seconds())
+	}
+
+	cfg := harness.Config{
+		Parallel:         *parallel,
+		Reruns:           *reruns,
+		CheckDeterminism: *checkDet,
+	}
+	if !*quiet {
+		cfg.Progress = func(done, total int, rec harness.RunRecord) {
+			fmt.Fprintf(os.Stderr, "\r[%d/%d] %s/%s seed=%d (%.0f ms)        ",
+				done, total, rec.Scenario, rec.Point, rec.Seed, rec.WallMS)
+		}
+	}
+	var rawFile *os.File
+	if dir != "" {
+		var err error
+		if rawFile, err = harness.OpenRawWriter(dir); err != nil {
+			fail(err)
+		}
+		cfg.RawWriter = rawFile
+	}
+
+	res, sweepErr := harness.Sweep(scs, cfg)
+	if rawFile != nil {
+		if err := rawFile.Close(); err != nil {
+			fail(err)
+		}
+	}
+	if !*quiet {
+		fmt.Fprintln(os.Stderr)
+	}
+	if sweepErr != nil {
+		fmt.Fprintln(os.Stderr, sweepErr)
+		if res != nil {
+			for _, v := range res.DeterminismViolations {
+				fmt.Fprintf(os.Stderr, "  violation: %s\n", v)
+			}
+		}
+		os.Exit(1)
+	}
+
+	prov.Record(res)
+	if prov.SequentialWallMS > 0 && prov.WallMS > 0 {
+		prov.Speedup = prov.SequentialWallMS / prov.WallMS
+	}
+
+	if tables {
+		for _, sc := range scs {
+			fmt.Printf("=== %s — %s\n%s\n", sc.Name, sc.Description, res.Table(sc.Name))
+		}
+	}
+	fmt.Printf("cc=%s: %d runs, %d simulated events, wall %.1fs\n",
+		run.CC, len(res.Records), res.TotalEvents, res.Wall.Seconds())
+	if *checkDet {
+		fmt.Println("determinism gate: PASS (identical digests across reruns)")
+	}
+	if invariant.Enabled {
+		fmt.Println("invariants auditor: armed (built with -tags invariants); no violations")
+	}
+	if flightrec.Armed() {
+		fmt.Println("flight recorder: armed on every run (-record); digests unchanged by recording")
+	}
+	if prov.Speedup > 0 {
+		fmt.Printf("speedup vs sequential: %.2fx (%.1fs -> %.1fs)\n",
+			prov.Speedup, prov.SequentialWallMS/1000, prov.WallMS/1000)
+	}
+
+	if dir != "" {
+		if err := harness.WriteArtifacts(dir, res, prov); err != nil {
+			fail(err)
+		}
+		fmt.Printf("artifacts: %s\n", filepath.Join(dir, "{"+harness.RawRunsFile+","+harness.SummaryFile+","+harness.ProvenanceFile+"}"))
+	}
+	return res, prov
 }

@@ -83,7 +83,7 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 	if depth < 1 {
 		depth = 1
 	}
-	net := topologyTestbed(cfg.Mode, run, fid.Shards, fid)
+	net := topologyTestbed(cfg.Mode, run, fid)
 	open := openFlow(net)
 	// Placement and workload randomness come from a dedicated engine
 	// stream (determinism contract: no private rand.New sources outside

@@ -1,19 +1,20 @@
 // Package experiments reproduces every table and figure of the DCQCN
 // paper's evaluation on the simulated testbed. Each experiment is a
 // function returning a typed result with the numbers the paper plots,
-// plus a rendered table; cmd/dcqcn-experiments prints them and
-// bench_test.go regenerates them under `go test -bench`.
+// plus a rendered table. Figures lists them in the paper's order and
+// Registry registers the packet-level ones as sweep scenarios;
+// `dcqcn-sweep -paper` prints them and bench_test.go regenerates them
+// under `go test -bench`.
 //
 // The per-experiment index lives in DESIGN.md; paper-vs-measured values
 // are recorded in EXPERIMENTS.md.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"dcqcn/internal/cc"
 	"dcqcn/internal/core"
+	"dcqcn/internal/harness"
 	"dcqcn/internal/hybrid"
 	"dcqcn/internal/nic"
 
@@ -62,7 +63,9 @@ func (m Mode) String() string {
 }
 
 // Fidelity scales experiment cost: Quick keeps unit tests and benches
-// fast; Full approaches the paper's statistical weight.
+// fast; Full approaches the paper's statistical weight. The embedded
+// run configuration carries the cross-cutting settings (shards, cc,
+// hybrid) that options turns into topology options.
 type Fidelity struct {
 	// Duration of each measured run.
 	Duration simtime.Duration
@@ -70,47 +73,29 @@ type Fidelity struct {
 	Warmup simtime.Duration
 	// Runs is the number of random repetitions (seeds) per data point.
 	Runs int
-	// Shards, when > 1, runs each simulation sharded across that many
-	// cores (internal/parallel). Results and digests are bit-identical
-	// to sequential runs; topologies that cannot split (stars) fall
-	// back to sequential quietly.
-	Shards int
-	// CC selects the congestion-control algorithm by registry name for
-	// the DCQCN modes of every scenario (the PFC-only baseline keeps its
-	// fixed-rate sender). Empty means "dcqcn" — the deployed algorithm,
-	// routed through the internal/cc framework either way.
-	CC string
-	// CCParams, if non-nil, is a JSON object overlaid onto the selected
-	// algorithm's default parameters (the -cc-params flag; see
-	// cc.Selection.ApplyParamsJSON).
-	CCParams json.RawMessage
-	// Hybrid arms the fluid/packet co-simulation substrate
-	// (internal/hybrid) on every network a scenario builds: BgFlows
-	// long-lived background flows are modeled as fluid DCQCN classes
-	// coupled into the fabric's buffers and marking. With BgFlows = 0
-	// the armer still runs but attaches nothing — digests stay
-	// bit-identical to an unarmed run (the hybrid-off passivity gate).
-	Hybrid bool
-	// BgFlows is the background flow count the hybrid substrate models.
-	BgFlows int
+	harness.RunConfig
 }
 
 // Quick returns the fidelity used by tests and benchmarks.
 func Quick() Fidelity {
-	return Fidelity{Duration: 30 * simtime.Millisecond, Warmup: 10 * simtime.Millisecond, Runs: 2}
+	return Fidelity{Duration: 30 * simtime.Millisecond, Warmup: 10 * simtime.Millisecond, Runs: 2,
+		RunConfig: harness.RunConfig{Fidelity: "quick"}}
 }
 
 // Full returns the fidelity used for EXPERIMENTS.md numbers.
 func Full() Fidelity {
-	return Fidelity{Duration: 100 * simtime.Millisecond, Warmup: 30 * simtime.Millisecond, Runs: 5}
+	return Fidelity{Duration: 100 * simtime.Millisecond, Warmup: 30 * simtime.Millisecond, Runs: 5,
+		RunConfig: harness.RunConfig{Fidelity: "full"}}
 }
 
 // options builds topology options for a mode. ECMP seed base is set per
-// run by the caller; fid selects the congestion-control algorithm for
-// the DCQCN modes.
+// run by the caller. It is the one place fid's run configuration becomes
+// topology options: sharding, the congestion-control algorithm of the
+// DCQCN modes, and the hybrid background armer.
 func options(mode Mode, seedBase uint64, fid Fidelity) topology.Options {
 	opts := topology.DefaultOptions()
 	opts.ECMPSeedBase = seedBase
+	opts.Shards = fid.Shards
 	// Real RoCEv2 NICs have no congestion window: an uncontrolled sender
 	// keeps the wire full until PFC back-pressures its own port. The
 	// congestion-spreading experiments need that behaviour, so the
@@ -127,70 +112,51 @@ func options(mode Mode, seedBase uint64, fid Fidelity) topology.Options {
 		opts.NIC.NPEnabled = false
 		opts.Switch.Marking.KMin = 1 << 40 // marking off
 		opts.Switch.Marking.KMax = 1 << 40
-		armHybrid(&opts, fid)
-		return opts
-	}
-	// The DCQCN modes route through the cc registry — the default
-	// algorithm included, so the golden digests exercise the framework —
-	// and fid.CC swaps the algorithm under the same scenario.
-	sel, err := cc.Select(ccName(fid), 40*simtime.Gbps)
-	if err != nil {
-		panic(err) // CLI flags are resolved against the registry up front
-	}
-	if fid.CCParams != nil {
-		if err := sel.ApplyParamsJSON(fid.CCParams); err != nil {
-			panic(err) // ditto: the CLI validates the overlay before running
+	} else {
+		// The DCQCN modes route through the cc registry — the default
+		// algorithm included, so the golden digests exercise the
+		// framework — and fid.CC swaps the algorithm under the same
+		// scenario.
+		sel, err := fid.Selection()
+		if err != nil {
+			panic(err) // CLI flags are resolved against the registry up front
 		}
+		params := core.DefaultParams()
+		if rp, ok := sel.Params.(*core.Params); ok {
+			// Keep the receiver NP and switch marking consistent with the
+			// algorithm's own RP parameters.
+			params = *rp
+		}
+		opts.NIC.NP = params
+		switch mode {
+		case ModeDCQCN:
+			opts.Switch.Marking = params
+		case ModeDCQCNNoPFC:
+			opts.Switch.Marking = params
+			opts.Switch.PFCEnabled = false
+		case ModeDCQCNMisconfigured:
+			// Static threshold at the §4 upper bound, ECN at 120 KB (~5x):
+			// ECN-before-PFC is no longer guaranteed.
+			opts.Switch.StaticPFCThreshold = 24475
+			m := params
+			m.KMin = 120 * 1000
+			m.KMax = 200 * 1000
+			opts.Switch.Marking = m
+		}
+		// Last, so capability-driven adjustments (NP off, denser ACKs,
+		// marking off for delay/hint algorithms in the well-configured mode)
+		// take precedence over the per-mode marking defaults above.
+		topology.ApplyCC(&opts, sel, mode == ModeDCQCN)
 	}
-	params := core.DefaultParams()
-	if rp, ok := sel.Params.(*core.Params); ok {
-		// Keep the receiver NP and switch marking consistent with the
-		// algorithm's own RP parameters.
-		params = *rp
+	// Last, so the fluid classes run against the same marking profile
+	// the mode configured on the switches: fluid and packet traffic
+	// answer to one law.
+	if fid.Hybrid {
+		hcfg := hybrid.DefaultConfig()
+		hcfg.Params = opts.Switch.Marking
+		opts.Background = hybrid.Armer(hcfg, fid.BgFlows)
 	}
-	opts.NIC.NP = params
-	switch mode {
-	case ModeDCQCN:
-		opts.Switch.Marking = params
-	case ModeDCQCNNoPFC:
-		opts.Switch.Marking = params
-		opts.Switch.PFCEnabled = false
-	case ModeDCQCNMisconfigured:
-		// Static threshold at the §4 upper bound, ECN at 120 KB (~5x):
-		// ECN-before-PFC is no longer guaranteed.
-		opts.Switch.StaticPFCThreshold = 24475
-		m := params
-		m.KMin = 120 * 1000
-		m.KMax = 200 * 1000
-		opts.Switch.Marking = m
-	}
-	// Last, so capability-driven adjustments (NP off, denser ACKs,
-	// marking off for delay/hint algorithms in the well-configured mode)
-	// take precedence over the per-mode marking defaults above.
-	topology.ApplyCC(&opts, sel, mode == ModeDCQCN)
-	armHybrid(&opts, fid)
 	return opts
-}
-
-// armHybrid installs the hybrid background-traffic armer when the
-// fidelity asks for it. The fluid classes run against the same marking
-// profile the mode configured on the switches, so fluid and packet
-// traffic answer to one law.
-func armHybrid(opts *topology.Options, fid Fidelity) {
-	if !fid.Hybrid {
-		return
-	}
-	hcfg := hybrid.DefaultConfig()
-	hcfg.Params = opts.Switch.Marking
-	opts.Background = hybrid.Armer(hcfg, fid.BgFlows)
-}
-
-// ccName resolves the fidelity's algorithm name, defaulting to DCQCN.
-func ccName(fid Fidelity) string {
-	if fid.CC == "" {
-		return "dcqcn"
-	}
-	return fid.CC
 }
 
 // openFlow is the workload adapter for a built network.

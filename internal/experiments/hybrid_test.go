@@ -46,28 +46,40 @@ func TestGoldenDigestsHybridOff(t *testing.T) {
 }
 
 // TestRegisterHybridScenarios pins the hybrid scenario names and checks
-// they coexist with the main registry (the CLIs register both).
+// they coexist with the main registry, both registered by hand and
+// through Registry, the constructor every CLI builds its registry with
+// (so dcqcn-replay sees the hybrid family too).
 func TestRegisterHybridScenarios(t *testing.T) {
-	reg := testRegistry(t, tiny())
-	before := len(reg.Names())
-	RegisterHybridScenarios(reg, tiny())
-	want := []string{"hybrid-incast", "hybrid-victim", "hybrid-validate"}
-	got := reg.Names()[before:]
-	if len(got) != len(want) {
-		t.Fatalf("registered %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hybrid scenario %d = %q, want %q", i, got[i], want[i])
+	byHand := testRegistry(t, tiny())
+	RegisterHybridScenarios(byHand, tiny())
+	for _, in := range []struct {
+		name string
+		reg  *harness.Registry
+	}{{"RegisterHybridScenarios", byHand}, {"Registry", Registry(tiny())}} {
+		name, reg := in.name, in.reg
+		want := []string{"hybrid-incast", "hybrid-victim", "hybrid-validate"}
+		names := reg.Names()
+		if len(names) != len(goldenDigests)+len(want) {
+			t.Fatalf("%s: registered %v, want the %d golden scenarios then %v", name, names, len(goldenDigests), want)
 		}
-	}
-	for _, name := range want {
-		sc, _ := reg.Get(name)
-		if sc.Description == "" {
-			t.Errorf("scenario %q has no description", name)
+		for i, n := range names[:len(goldenDigests)] {
+			if _, ok := goldenDigests[n]; !ok {
+				t.Fatalf("%s: scenario %d = %q, want a golden scenario before the hybrid family", name, i, n)
+			}
 		}
-		if len(sc.Points) == 0 {
-			t.Errorf("scenario %q has no points", name)
+		for i, got := range names[len(goldenDigests):] {
+			if got != want[i] {
+				t.Fatalf("%s: hybrid scenario %d = %q, want %q", name, i, got, want[i])
+			}
+		}
+		for _, n := range want {
+			sc, _ := reg.Get(n)
+			if sc.Description == "" {
+				t.Errorf("%s: scenario %q has no description", name, n)
+			}
+			if len(sc.Points) == 0 {
+				t.Errorf("%s: scenario %q has no points", name, n)
+			}
 		}
 	}
 }

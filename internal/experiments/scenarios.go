@@ -34,6 +34,17 @@ func modeLabel(m Mode) string {
 	}
 }
 
+// Registry returns a scenario registry holding every family at fid: the
+// packet-level evaluation and the chaos suite (together the 16 golden
+// scenarios), then the hybrid co-simulation scenarios.
+func Registry(fid Fidelity) *harness.Registry {
+	reg := harness.NewRegistry()
+	RegisterScenarios(reg, fid)
+	RegisterChaosScenarios(reg, fid)
+	RegisterHybridScenarios(reg, fid)
+	return reg
+}
+
 // RegisterScenarios registers the full packet-level evaluation with reg
 // at the given fidelity. The number of harness seeds per point is
 // fid.Runs, matching the statistical weight the sequential suite used.

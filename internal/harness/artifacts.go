@@ -36,30 +36,19 @@ type Provenance struct {
 	NumCPU        int    `json:"num_cpu"`
 	Parallel      int    `json:"parallel"`
 	Reruns        int    `json:"reruns"`
-	// Shards records the per-run sharding degree (internal/parallel):
-	// 0 or 1 means every simulation ran sequentially. Distinct from
-	// Parallel, which fans whole runs over a worker pool.
-	Shards      int  `json:"shards"`
-	Determinism bool `json:"determinism_checked"`
+	Determinism   bool   `json:"determinism_checked"`
 	// Invariants records whether the binary was built with -tags
 	// invariants, i.e. whether the conservation auditor was armed in
 	// every chaos run this sweep executed.
 	Invariants bool `json:"invariants_armed"`
 	// FlightRec records whether the flight recorder was armed (via
 	// flightrec.Arm) for every run this sweep executed.
-	FlightRec bool   `json:"flightrec_armed"`
-	Fidelity  string `json:"fidelity"`
-	// Hybrid and BgFlows record the fluid/packet co-simulation arming
-	// (internal/hybrid): whether every run carried the fluid background
-	// substrate, and at how many modeled flows.
-	Hybrid  bool `json:"hybrid_armed"`
-	BgFlows int  `json:"bg_flows,omitempty"`
-	// CC and CCParams record the congestion-control selection driving
-	// the DCQCN modes of every scenario in this sweep: the registry name
-	// and the exact (possibly -cc-params-refined) parameter set.
-	CC        string          `json:"cc,omitempty"`
-	CCParams  json.RawMessage `json:"cc_params,omitempty"`
-	Scenarios []string        `json:"scenarios"`
+	FlightRec bool `json:"flightrec_armed"`
+	// RunConfig records the cross-cutting run settings (fidelity,
+	// shards, cc selection and parameters, hybrid arming) under its own
+	// json keys.
+	RunConfig
+	Scenarios []string `json:"scenarios"`
 	// Seeds maps scenario name to its seed list.
 	Seeds     map[string][]int64 `json:"seeds"`
 	TotalRuns int                `json:"total_runs"`

@@ -251,6 +251,10 @@ func TestArtifacts(t *testing.T) {
 	prov.Describe(scs)
 	prov.Record(res)
 	prov.Parallel = 3
+	// Every omitempty field set, so the key-set check below sees them all.
+	prov.RunConfig = RunConfig{Fidelity: "quick", Shards: 2, CC: "dcqcn",
+		CCParams: json.RawMessage(`{"g":0.5}`), Hybrid: true, BgFlows: 10}
+	prov.SequentialWallMS, prov.Speedup = 2, 1.5
 	if err := WriteArtifacts(dir, res, prov); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +305,30 @@ func TestArtifacts(t *testing.T) {
 	}
 	if gotProv.TotalRuns != len(res.Records) || gotProv.GoVersion == "" || len(gotProv.Seeds["synthetic"]) != 3 {
 		t.Fatalf("provenance incomplete: %+v", gotProv)
+	}
+
+	// The key set is an artifact contract: the embedded RunConfig must
+	// not rename or drop a key downstream tooling reads.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"schema_version", "tool", "started_at", "git_commit", "go_version",
+		"os", "arch", "num_cpu", "parallel", "reruns", "shards",
+		"determinism_checked", "invariants_armed", "flightrec_armed",
+		"fidelity", "hybrid_armed", "bg_flows", "cc", "cc_params",
+		"scenarios", "seeds", "total_runs", "total_events", "wall_ms",
+		"sequential_wall_ms", "speedup_vs_sequential",
+	}
+	for _, k := range want {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("provenance.json lacks key %q", k)
+		}
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Errorf("provenance.json has unexpected keys: %s", keys)
 	}
 }
 
