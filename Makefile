@@ -24,13 +24,14 @@ vet:
 
 # Contract static analysis (internal/lint). Determinism family:
 # walltime, globalrand, maporder, floateq, simtime. Physics family:
-# noconc, eventpast, acctfield. Allocation family: hotalloc, hotdefer,
-# hotchain over //hot:path functions and the hot packages.
-# Interprocedural contracts family: ccability, hookpassive, streamshard
-# over one shared call-graph summary (internal/lint/callgraph).
-# Suppressions live in lint.json; the second step diffs the compiler's
-# actual escape decisions for the hot packages against escape.golden,
-# so a new heap escape fails the gate even if no AST pattern caught it.
+# noconc, eventpast, acctfield. Allocation family over //hot:path
+# functions: hotalloc (allocations the compiler does not report:
+# growing appends, map literals, string concat, fmt), hotdefer,
+# hotchain (per-event hook installs). Interprocedural contracts family:
+# ccability, hookpassive, streamshard over one shared call-graph
+# summary (internal/lint/callgraph). Suppressions live in lint.json;
+# the second step diffs the compiler's actual escape decisions for the
+# hot packages against escape.golden — the one gate for heap escapes.
 lint:
 	$(GO) run ./cmd/dcqcn-lint $(PKGS)
 	$(GO) run ./cmd/dcqcn-lint -escape
@@ -42,7 +43,7 @@ escape:
 
 # Regenerate escape.golden after an intentional allocation change.
 # Review the diff — every added line is a new heap allocation on a hot
-# path and needs a //hot:allow waiver with a reason.
+# path, budgeted by being committed; say why in the commit message.
 escape-update:
 	$(GO) run ./cmd/dcqcn-lint -escape -update
 

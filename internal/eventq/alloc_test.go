@@ -2,10 +2,12 @@
 
 // Allocation-budget test for the hot-path contract (DESIGN §12): the
 // steady-state push/pop cycle of the event queue is pinned to exactly
-// one heap allocation — the Event header PushKeyed creates (waived in
-// source with //hot:allow). The race detector perturbs allocation
-// counts, so the budget only runs in non-race builds; `make race`
-// still compiles and runs everything else here.
+// one heap allocation — the Event header PushKeyed creates, the escape
+// escape.golden records for Queue.PushKeyed. This test pins how many
+// times that escape happens per operation; the escape audit pins where.
+// The race detector perturbs allocation counts, so the budget only runs
+// in non-race builds; `make race` still compiles and runs everything
+// else here.
 
 package eventq
 

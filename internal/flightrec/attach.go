@@ -115,13 +115,13 @@ func Attach(net *topology.Network, cfg Config) *Recorder {
 // side — PFC XOFF/XON and (for host ports) CNP deliveries.
 func (r *Recorder) tapPort(port *link.Port, host bool) {
 	id := r.intern(port.Name)
-	port.ChainOnEnqueue(func(p *packet.Packet) {
+	port.OnEnqueue = hooks.Chain(port.OnEnqueue, func(p *packet.Packet) {
 		r.record(KindEnqueue, id, p.Type, p.Flow, p.PSN, p.Size, p.Priority, 0, 0)
 	})
-	port.ChainOnDeparture(func(p *packet.Packet) {
+	port.OnDeparture = hooks.Chain(port.OnDeparture, func(p *packet.Packet) {
 		r.record(KindDequeue, id, p.Type, p.Flow, p.PSN, p.Size, p.Priority, 0, 0)
 	})
-	port.ChainOnRx(func(p *packet.Packet) {
+	port.OnRx = hooks.Chain(port.OnRx, func(p *packet.Packet) {
 		switch p.Type {
 		case packet.Pause:
 			r.record(KindXoff, id, p.Type, 0, 0, p.Size, p.PausePrio, 0, 0)

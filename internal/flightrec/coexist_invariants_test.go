@@ -14,9 +14,9 @@ import (
 
 // TestRecorderAndAuditorCoexist arms the flight recorder and the
 // -tags invariants auditor on the same network, in both attach orders,
-// and checks that both observers see the run: the chained hook surface
-// (link.Port.ChainOnRx/ChainOnDeparture) must not let one subscriber
-// displace the other.
+// and checks that both observers see the run: chaining onto the port
+// hooks (port.OnRx = hooks.Chain(port.OnRx, fn), likewise OnDeparture)
+// must not let one subscriber displace the other.
 func TestRecorderAndAuditorCoexist(t *testing.T) {
 	run := func(t *testing.T, recorderFirst bool) {
 		net := topology.NewStar(21, 2, topology.DefaultOptions())

@@ -281,7 +281,8 @@ func (r *Recorder) seal(now simtime.Time) {
 		r.sealed += len(r.active.buf)
 		r.chunks = append(r.chunks, r.active)
 	}
-	//hot:allow one chunk header per 64KiB of encoded events, amortized over ~10k records
+	// One chunk header per 64KiB of encoded events, amortized over ~10k
+	// records. The escape is budgeted in escape.golden.
 	r.active = &chunk{base: now, firstSeq: r.seq, buf: make([]byte, 0, chunkTarget+64)}
 	r.lastAt = now
 }

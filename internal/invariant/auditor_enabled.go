@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dcqcn/internal/fabric"
+	"dcqcn/internal/hooks"
 	"dcqcn/internal/link"
 	"dcqcn/internal/nic"
 	"dcqcn/internal/packet"
@@ -71,10 +72,10 @@ func Attach(net *topology.Network) *Auditor {
 // observers (the flight recorder) on the same ports.
 func (a *Auditor) tapSwitchPort(sw *fabric.Switch, port *link.Port) {
 	pairing := &pfcPairing{}
-	port.ChainOnRx(func(p *packet.Packet) {
+	port.OnRx = hooks.Chain(port.OnRx, func(p *packet.Packet) {
 		a.checkPFCPairing(pairing, port.Name, p)
 	})
-	port.ChainOnDeparture(func(p *packet.Packet) {
+	port.OnDeparture = hooks.Chain(port.OnDeparture, func(p *packet.Packet) {
 		a.checkSwitch(sw)
 	})
 }
@@ -86,14 +87,14 @@ func (a *Auditor) tapSwitchPort(sw *fabric.Switch, port *link.Port) {
 func (a *Auditor) tapHostPort(h *nic.NIC) {
 	port := h.Port()
 	pairing := &pfcPairing{}
-	port.ChainOnRx(func(p *packet.Packet) {
+	port.OnRx = hooks.Chain(port.OnRx, func(p *packet.Packet) {
 		a.checkPFCPairing(pairing, port.Name, p)
 		if p.Type == packet.Ack {
 			a.checkAckMonotone(h, p)
 		}
 		a.checkRxBacklog(h)
 	})
-	port.ChainOnDeparture(func(p *packet.Packet) {
+	port.OnDeparture = hooks.Chain(port.OnDeparture, func(p *packet.Packet) {
 		if p.Type == packet.Data {
 			a.checkDataContiguity(h, p)
 		}

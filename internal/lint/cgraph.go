@@ -23,8 +23,9 @@ import (
 //
 //	//cg:allow capability set derived from the rule table; Validate pins the signals
 //
-// placed on the flagged line or the line above it — the //hot:allow
-// grammar. A reasonless directive is itself reported as malformed.
+// placed on the flagged line or the line above it, the same grammar as
+// //lint:ordered. A reasonless directive is itself reported as
+// malformed.
 const cgAllowDirective = "//cg:allow"
 
 // cgReport emits a diagnostic at n unless a //cg:allow directive

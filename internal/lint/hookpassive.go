@@ -10,25 +10,20 @@ import (
 )
 
 // Hookpassive enforces the passivity contract hooks.Chain documents:
-// subscribers composed onto observation hooks (hooks.Chain*, the
-// ChainOn* convenience methods) observe the simulation, they do not
-// steer it. A subscriber that transitively writes an //acct: counter,
-// schedules an event, or mutates model state makes model behaviour
-// depend on which observers happen to be attached — the flight
-// recorder's presence would change digests. The analyzer resolves the
-// subscriber argument of every chain registration to its call-graph
-// node and flags the forbidden transitive effects with the witness
-// chain down to the primitive site.
-//
+// subscribers composed onto observation hooks through hooks.Chain*
+// observe the simulation, they do not steer it. A subscriber that
+// transitively writes an //acct: counter, schedules an event, or
+// mutates model state makes model behaviour depend on which observers
+// happen to be attached — the flight recorder's presence would change
+// digests. The analyzer resolves the subscriber argument of every chain
+// registration to its call-graph node and flags the forbidden
+// transitive effects with the witness chain down to the primitive site.
 // A subscriber that cannot be resolved statically (a function-valued
 // expression that is not a literal, named function, or method value)
-// is reported as unverifiable unless it is a parameter of the
-// enclosing function — the relay idiom, where a ChainOn* helper
-// forwards its caller's subscriber and the obligation moves to the
-// caller's own registration site, which this analyzer also checks.
+// is reported as unverifiable.
 var Hookpassive = &analysis.Analyzer{
 	Name: "hookpassive",
-	Doc: "hook subscribers (hooks.Chain*, ChainOn*) must stay passive: " +
+	Doc: "hook subscribers (hooks.Chain*) must stay passive: " +
 		"no transitive //acct: writes, event scheduling, or model-state mutation",
 	Run: runHookpassive,
 }
@@ -39,15 +34,10 @@ const hookForbidden = callgraph.WritesAcctField | callgraph.SchedulesEvent | cal
 func runHookpassive(pass *analysis.Pass) error {
 	graph := graphFor(pass)
 	for _, f := range pass.Files {
-		file := f
-		var encl *ast.FuncDecl
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				encl = x
-			case *ast.CallExpr:
-				if sub := subscriberArg(pass, x); sub != nil {
-					checkSubscriber(pass, graph, file, encl, sub)
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sub := subscriberArg(pass, call); sub != nil {
+					checkSubscriber(pass, graph, f, sub)
 				}
 			}
 			return true
@@ -57,10 +47,8 @@ func runHookpassive(pass *analysis.Pass) error {
 }
 
 // subscriberArg returns the subscriber expression of a hook
-// registration call, or nil if the call is not one. Two shapes count:
-//
-//	p.OnRx = hooks.Chain(p.OnRx, sub)   // last arg of hooks.Chain*
-//	p.ChainOnRx(sub)                    // sole arg of a ChainOn* method
+// registration call — the last argument of hooks.Chain*, as in
+// p.OnRx = hooks.Chain(p.OnRx, sub) — or nil if the call is not one.
 func subscriberArg(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
 	fun := ast.Unparen(call.Fun)
 	// Strip explicit generic instantiation (hooks.Chain3[int, int, int]).
@@ -71,32 +59,19 @@ func subscriberArg(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
 		fun = ast.Unparen(ix.X)
 	}
 	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !strings.HasPrefix(sel.Sel.Name, "Chain") || len(call.Args) != 2 {
 		return nil
 	}
-	name := sel.Sel.Name
-	switch {
-	case strings.HasPrefix(name, "Chain") && !strings.HasPrefix(name, "ChainOn"):
-		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "hooks" || len(call.Args) != 2 {
-			return nil
-		}
-		return call.Args[1]
-	case strings.HasPrefix(name, "ChainOn") && len(call.Args) == 1:
-		if _, ok := pass.TypesInfo.Selections[sel]; !ok {
-			return nil // package-qualified function, not a method
-		}
-		return call.Args[0]
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "hooks" {
+		return nil
 	}
-	return nil
+	return call.Args[1]
 }
 
-func checkSubscriber(pass *analysis.Pass, graph *callgraph.Graph, file *ast.File, encl *ast.FuncDecl, sub ast.Expr) {
+func checkSubscriber(pass *analysis.Pass, graph *callgraph.Graph, file *ast.File, sub ast.Expr) {
 	node := graph.ResolveFunc(pass.TypesInfo, sub)
 	if node == nil {
-		if isEnclosingParam(pass, encl, sub) {
-			return // relay idiom: callers' registration sites carry the obligation
-		}
 		cgReport(pass, file, sub,
 			"hook subscriber cannot be resolved statically, so its passivity is unverified; pass a literal or named function, or waive with %s <reason>",
 			cgAllowDirective)
@@ -112,18 +87,4 @@ func checkSubscriber(pass *analysis.Pass, graph *callgraph.Graph, file *ast.File
 	cgReport(pass, file, sub,
 		"hook subscriber %s %s (%s): subscribers must stay passive or attaching an observer changes model behaviour",
 		node, bit.Describe(), graph.Describe(node, bit))
-}
-
-// isEnclosingParam reports whether e is a bare use of a parameter of
-// the function declaration enclosing the registration.
-func isEnclosingParam(pass *analysis.Pass, encl *ast.FuncDecl, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || encl == nil || encl.Type.Params == nil {
-		return false
-	}
-	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-	if !ok {
-		return false
-	}
-	return declaredWithin(v, encl.Type.Params)
 }

@@ -8,17 +8,17 @@ import (
 	"dcqcn/internal/lint/analysis"
 )
 
-// Hotchain keeps hook-chain construction out of //hot:path functions.
-// The chaining helpers (internal/hooks.Chain*) and the ChainOn*
-// convenience methods exist for attach time: each call wraps the
-// previous subscriber in a fresh closure, so chaining from a per-event
-// function would allocate a new closure per event and grow the chain
-// without bound — every future event then walks an ever-longer call
-// chain. The same applies to installing a hook field (On*) from hot
-// code: observers subscribe once at attach, never during dispatch.
+// Hotchain keeps hook installation out of //hot:path functions.
+// Observers subscribe once, at attach time; assigning an On* hook field
+// from per-event code — directly or through hooks.Chain* — either
+// clobbers the observers wired at attach or grows the chain by one
+// closure per event, so every later event walks an ever-longer call
+// chain. The rule is about behaviour, not allocation: the closure a
+// per-event hooks.Chain builds is a heap escape, and the escape audit
+// (internal/escape) reports it as one.
 var Hotchain = &analysis.Analyzer{
 	Name: "hotchain",
-	Doc: "forbid hook chaining (hooks.Chain*, ChainOn*, On* field installs) in //hot:path functions; " +
+	Doc: "forbid installing On* hook fields (directly or via hooks.Chain*) in //hot:path functions; " +
 		"hooks are wired at attach time, never per event",
 	Run: runHotchain,
 }
@@ -28,17 +28,9 @@ func runHotchain(pass *analysis.Pass) error {
 		for _, fd := range hotFuncs(f) {
 			name := fd.Name.Name
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CallExpr:
-					checkHotchainCall(pass, f, x, name)
-				case *ast.AssignStmt:
-					for i, lhs := range x.Lhs {
-						// p.OnRx = hooks.Chain(p.OnRx, fn) is one operation;
-						// the call rule already reports it.
-						if i < len(x.Rhs) && isChainCall(x.Rhs[i]) {
-							continue
-						}
-						checkHookInstall(pass, f, x, lhs, name)
+				if as, ok := n.(*ast.AssignStmt); ok {
+					for _, lhs := range as.Lhs {
+						checkHookInstall(pass, as, lhs, name)
 					}
 				}
 				return true
@@ -48,38 +40,10 @@ func runHotchain(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkHotchainCall flags calls to the hooks package's Chain helpers
-// and to Chain*-named methods (the ChainOnRx-style wrappers components
-// expose over the same helpers).
-func checkHotchainCall(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, name string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if !strings.HasPrefix(sel.Sel.Name, "Chain") {
-		return
-	}
-	if pn := pkgNameOf(pass.TypesInfo, sel.X); pn != nil {
-		// Package-qualified: only the hooks package's helpers count.
-		if lastPathElement(pn.Imported().Path()) == "hooks" {
-			hotReport(pass, file, call,
-				"hooks.%s called in hot function %s: chaining wraps a new closure per call and grows the hook chain per event; chain at attach time",
-				sel.Sel.Name, name)
-		}
-		return
-	}
-	// Method call: ChainOnRx and friends on a component.
-	if strings.HasPrefix(sel.Sel.Name, "ChainOn") {
-		hotReport(pass, file, call,
-			"%s called in hot function %s: hook subscription per event grows the chain without bound; subscribe at attach time",
-			sel.Sel.Name, name)
-	}
-}
-
 // checkHookInstall flags assignments to On*-named func-typed fields —
 // installing or replacing a hook from event-path code races with the
 // chained observers wired at attach time.
-func checkHookInstall(pass *analysis.Pass, file *ast.File, at ast.Node, lhs ast.Expr, name string) {
+func checkHookInstall(pass *analysis.Pass, at ast.Node, lhs ast.Expr, name string) {
 	sel, ok := lhs.(*ast.SelectorExpr)
 	if !ok || !strings.HasPrefix(sel.Sel.Name, "On") {
 		return
@@ -91,26 +55,7 @@ func checkHookInstall(pass *analysis.Pass, file *ast.File, at ast.Node, lhs ast.
 	if _, isFunc := v.Type().Underlying().(*types.Signature); !isFunc {
 		return
 	}
-	hotReport(pass, file, at,
+	pass.Reportf(at.Pos(),
 		"hook field %s installed in hot function %s: hooks are wired once at attach time, not per event",
 		sel.Sel.Name, name)
-}
-
-// isChainCall reports whether e is a call to a Chain*-named function
-// or method.
-func isChainCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && strings.HasPrefix(sel.Sel.Name, "Chain")
-}
-
-// lastPathElement returns the final element of an import path.
-func lastPathElement(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

@@ -12,8 +12,8 @@ import (
 // allocates on top; at millions of events per simulated second that is
 // measurable scheduler overhead for what hot functions — straight-line
 // queue and transmit code — never need: they have single exit points
-// and no resources to unwind. Genuinely exceptional cleanup can be
-// waived per site with //hot:allow <reason>.
+// and no resources to unwind. Genuinely exceptional cleanup is waived
+// per package in lint.json, with a reason.
 var Hotdefer = &analysis.Analyzer{
 	Name: "hotdefer",
 	Doc:  "forbid defer in //hot:path functions; per-event defer records are scheduler overhead the hot loop cannot afford",
@@ -29,7 +29,7 @@ func runHotdefer(pass *analysis.Pass) error {
 				// literal's own frame, but the literal still runs on the
 				// hot path when constructed here — flag those too.
 				if d, ok := n.(*ast.DeferStmt); ok {
-					hotReport(pass, f, d,
+					pass.Reportf(d.Pos(),
 						"defer in hot function %s: a defer record per call on the event path; restructure to a direct call", name)
 				}
 				return true

@@ -16,11 +16,13 @@
 // internal/invariant, behind the `invariants` build tag.
 //
 // A third family (DESIGN.md, "Hot-path allocation contract") bounds
-// per-event cost: hotalloc forbids heap-allocating constructs inside
-// //hot:path-annotated functions, hotdefer forbids defer there, and
-// hotchain forbids per-event hook chaining. Its runtime half is the
-// AllocsPerRun budget tests in the hot packages and the compiler-backed
-// escape auditor in internal/escape (`dcqcn-lint -escape`).
+// per-event cost inside //hot:path-annotated functions: hotalloc
+// forbids the allocations the compiler does not report (growing
+// appends, map literals, string concatenation, fmt), hotdefer forbids
+// defer, and hotchain forbids per-event hook installs. Heap escapes
+// belong to the compiler-backed escape auditor in internal/escape
+// (`dcqcn-lint -escape`); the AllocsPerRun budget tests in the hot
+// packages pin the per-operation counts.
 package lint
 
 import (

@@ -1,7 +1,6 @@
 // Package model exercises the hookpassive analyzer: subscribers
-// registered through hooks.Chain* or ChainOn* helpers must not
-// transitively write //acct: counters, schedule events, or mutate
-// model state.
+// registered through hooks.Chain* must not transitively write //acct:
+// counters, schedule events, or mutate model state.
 package model
 
 import (
@@ -17,13 +16,6 @@ type Port struct {
 	OnRx func(*Packet)
 	//acct: packets handed to the application
 	Delivered int64
-}
-
-// ChainOnRx relays its caller's subscriber without clobbering earlier
-// ones. The subscriber is a parameter, so the passivity obligation
-// moves to each caller's registration site.
-func (p *Port) ChainOnRx(fn func(*Packet)) {
-	p.OnRx = hooks.Chain(p.OnRx, fn)
 }
 
 var seen int64
@@ -51,7 +43,7 @@ func Attach(p *Port, t *Tap, b *Bump) {
 	p.OnRx = hooks.Chain(p.OnRx, passive)
 	p.OnRx = hooks.Chain(p.OnRx, countsGlobal) // want `hook subscriber model\.countsGlobal mutates model state`
 	p.OnRx = hooks.Chain(p.OnRx, t.OnPacket)   // want `hook subscriber model\.Tap\.OnPacket schedules a simulation event`
-	p.ChainOnRx(b.OnPacket)                    // want `hook subscriber model\.Bump\.OnPacket writes an //acct: accounting field`
+	p.OnRx = hooks.Chain(p.OnRx, b.OnPacket)   // want `hook subscriber model\.Bump\.OnPacket writes an //acct: accounting field`
 }
 
 // pick returns a subscriber the analyzer cannot see through.

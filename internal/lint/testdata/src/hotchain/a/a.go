@@ -1,7 +1,8 @@
-// Package a exercises the hotchain analyzer: chaining helpers from a
-// hooks package, ChainOn* subscription methods and On*-hook-field
-// installs are flagged inside //hot:path functions and pass in
-// unannotated (attach-time) code.
+// Package a exercises the hotchain analyzer: On*-hook-field installs —
+// direct or through a hooks.Chain* helper — are flagged inside
+// //hot:path functions and pass in unannotated (attach-time) code. The
+// closure a per-event hooks.Chain builds is a heap escape, which the
+// escape audit reports.
 package a
 
 import "dcqcn/internal/lint/testdata/src/hotchain/hooks"
@@ -14,18 +15,11 @@ type port struct {
 	rxBytes     int
 }
 
-// ChainOnRx is the attach-time subscription surface, like the real
-// link.Port's.
-func (p *port) ChainOnRx(fn func(*packet)) {
-	p.OnRx = hooks.Chain(p.OnRx, fn)
-}
-
 //hot:path
 func (p *port) receive(pkt *packet, observer func(*packet)) {
 	p.rxBytes += pkt.size
-	p.OnRx = hooks.Chain(p.OnRx, observer) // want `hooks.Chain called in hot function receive: chaining wraps a new closure per call`
-	p.ChainOnRx(observer)                  // want `ChainOnRx called in hot function receive: hook subscription per event grows the chain`
-	p.OnDeparture = observer               // want `hook field OnDeparture installed in hot function receive`
+	p.OnRx = hooks.Chain(p.OnRx, trace) // want `hook field OnRx installed in hot function receive`
+	p.OnDeparture = observer            // want `hook field OnDeparture installed in hot function receive`
 	if p.OnRx != nil {
 		p.OnRx(pkt) // invoking an installed hook is the dispatch path itself: passes
 	}
@@ -33,7 +27,9 @@ func (p *port) receive(pkt *packet, observer func(*packet)) {
 
 // attach is unannotated setup code: the same constructs pass.
 func (p *port) attach(observer func(*packet)) {
-	p.OnRx = hooks.Chain(p.OnRx, observer)
-	p.ChainOnRx(observer)
+	p.OnRx = hooks.Chain(p.OnRx, trace)
 	p.OnDeparture = observer
 }
+
+// trace is a passive subscriber.
+func trace(*packet) {}

@@ -1,6 +1,5 @@
-// Package hooks mirrors the real internal/hooks chaining helpers for
-// the hotchain fixture: the analyzer matches Chain*-named functions in
-// any package whose final path element is "hooks".
+// Package hooks mirrors the real internal/hooks chaining helper for the
+// hotchain fixture.
 package hooks
 
 // Chain composes two single-value observers.
@@ -11,16 +10,5 @@ func Chain[T any](prev, next func(T)) func(T) {
 	return func(v T) {
 		prev(v)
 		next(v)
-	}
-}
-
-// Chain2 is Chain for two-argument hooks.
-func Chain2[A, B any](prev, next func(A, B)) func(A, B) {
-	if prev == nil {
-		return next
-	}
-	return func(a A, b B) {
-		prev(a, b)
-		next(a, b)
 	}
 }

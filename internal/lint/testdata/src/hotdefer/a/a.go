@@ -1,7 +1,6 @@
 // Package a exercises the hotdefer analyzer: defer is flagged inside
 // //hot:path functions (including nested func literals constructed
-// there), passes in unannotated code, and //hot:allow waives a site
-// with a recorded reason.
+// there) and passes in unannotated code.
 package a
 
 type loop struct {
@@ -18,8 +17,8 @@ func (l *loop) step() {
 
 //hot:path
 func (l *loop) nested() {
-	// The literal captures nothing (hotalloc-clean: it compiles to a
-	// static function); the defer inside it is still on the hot path.
+	// The literal captures nothing (it compiles to a static function);
+	// the defer inside it is still on the hot path.
 	fn := func() {
 		defer noop() // want `defer in hot function nested: a defer record per call on the event path`
 	}
@@ -27,13 +26,6 @@ func (l *loop) nested() {
 }
 
 func noop() {}
-
-//hot:path
-func (l *loop) waived() {
-	//hot:allow teardown runs once per run at drain, not per event
-	defer l.done()
-	l.depth = 0
-}
 
 // cold is unannotated: defer passes.
 func (l *loop) cold() {
