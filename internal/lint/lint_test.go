@@ -2,6 +2,10 @@ package lint_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -413,6 +417,63 @@ func TestRepoConfigValid(t *testing.T) {
 	for _, s := range cfg.Suppressions {
 		if !strings.HasPrefix(s.Package, "dcqcn/") {
 			t.Errorf("suppression for %q names a package outside the module", s.Package)
+		}
+	}
+}
+
+// TestHotPackagesCoverHotFuncs keeps the escape audit's scope honest:
+// `dcqcn-lint -escape` builds only lint.HotPackages, so a //hot:path
+// function in any other package would have no gate for heap escapes.
+// Every non-test, non-testdata package of the module that annotates a
+// function must be listed.
+func TestHotPackagesCoverHotFuncs(t *testing.T) {
+	const root = "../.."
+	fset := token.NewFileSet()
+	seen := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir // a nested module is not built by the audit
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			for _, c := range fd.Doc.List {
+				if c.Text == "//hot:path" || strings.HasPrefix(c.Text, "//hot:path ") {
+					rel, _ := filepath.Rel(root, filepath.Dir(path))
+					seen["dcqcn/"+filepath.ToSlash(rel)] = true
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 {
+		t.Fatal("no //hot:path functions found — the walk exercised nothing")
+	}
+	for pkg := range seen {
+		if !lint.IsHotPackage(pkg) {
+			t.Errorf("%s has //hot:path functions but is not in lint.HotPackages, so the escape audit never builds it", pkg)
 		}
 	}
 }
