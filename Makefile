@@ -52,8 +52,9 @@ escape-update:
 # this target names a budget regression explicitly.
 alloc-budgets:
 	$(GO) test -run 'TestAllocBudget' -count=1 ./internal/eventq/ \
-		./internal/link/ ./internal/fabric/ ./internal/flightrec/ \
-		./internal/cc/ ./internal/fluid/ ./internal/hybrid/
+		./internal/engine/ ./internal/link/ ./internal/fabric/ \
+		./internal/nic/ ./internal/flightrec/ ./internal/cc/ \
+		./internal/fluid/ ./internal/hybrid/
 
 build:
 	$(GO) build ./...

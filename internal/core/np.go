@@ -20,6 +20,9 @@ type NP struct {
 	active      bool // a CNP window is open (timer armed)
 	markedSeen  bool // a marked packet arrived in the current window
 	cancelTimer func()
+	// windowFired is windowExpired bound once in NewNP, so opening a
+	// window creates no method value.
+	windowFired func()
 
 	// CNPsSent and MarkedPackets count activity for experiment reports.
 	CNPsSent      int64
@@ -29,7 +32,9 @@ type NP struct {
 // NewNP creates the per-flow NP machine. send is invoked (synchronously)
 // each time a CNP must be emitted.
 func NewNP(params Params, clock Clock, send func()) *NP {
-	return &NP{params: params, clock: clock, send: send}
+	n := &NP{params: params, clock: clock, send: send}
+	n.windowFired = n.windowExpired
+	return n
 }
 
 // OnPacket feeds an arriving data packet's CE mark into the machine.
@@ -65,7 +70,7 @@ func (n *NP) emit() {
 	n.send()
 	n.active = true
 	n.markedSeen = false
-	n.cancelTimer = n.clock.After(n.params.CNPInterval, n.windowExpired)
+	n.cancelTimer = n.clock.After(n.params.CNPInterval, n.windowFired)
 }
 
 func (n *NP) windowExpired() {

@@ -51,19 +51,27 @@ type RP struct {
 
 	cancelRateTimer  func()
 	cancelAlphaTimer func()
+	// rateTimerFired and alphaTimerFired are onRateTimer and
+	// onAlphaTimer bound once in NewRP, so re-arming a timer creates no
+	// closure.
+	rateTimerFired  func()
+	alphaTimerFired func()
 
 	Stats RPStats
 }
 
 // NewRP creates a reaction point. params must be valid.
 func NewRP(params Params, clock Clock) *RP {
-	return &RP{
+	r := &RP{
 		params: params,
 		clock:  clock,
 		rc:     params.LineRate,
 		rt:     params.LineRate,
 		alpha:  1,
 	}
+	r.rateTimerFired = r.onRateTimer
+	r.alphaTimerFired = r.onAlphaTimer
+	return r
 }
 
 // Rate returns the rate the NIC may currently send this flow at.
@@ -157,31 +165,38 @@ func (r *RP) armRateTimer() {
 	if r.cancelRateTimer != nil {
 		r.cancelRateTimer()
 	}
-	r.cancelRateTimer = r.clock.After(r.params.RateTimer, func() {
-		if !r.active {
-			return
-		}
-		r.tStage++
-		r.increase()
-		if r.active {
-			r.armRateTimer()
-		}
-	})
+	r.cancelRateTimer = r.clock.After(r.params.RateTimer, r.rateTimerFired)
+}
+
+// onRateTimer is one timer-driven increase stage; it re-arms while the
+// flow stays rate limited.
+func (r *RP) onRateTimer() {
+	if !r.active {
+		return
+	}
+	r.tStage++
+	r.increase()
+	if r.active {
+		r.armRateTimer()
+	}
 }
 
 func (r *RP) armAlphaTimer() {
 	if r.cancelAlphaTimer != nil {
 		r.cancelAlphaTimer()
 	}
-	r.cancelAlphaTimer = r.clock.After(r.params.AlphaTimer, func() {
-		if !r.active {
-			return
-		}
-		// Eq. (2): no CNP for a full alpha interval.
-		r.alpha *= 1 - r.params.G
-		r.Stats.AlphaDecays++
-		r.armAlphaTimer()
-	})
+	r.cancelAlphaTimer = r.clock.After(r.params.AlphaTimer, r.alphaTimerFired)
+}
+
+// onAlphaTimer applies Eq. (2) after a full alpha interval without a
+// CNP, and re-arms.
+func (r *RP) onAlphaTimer() {
+	if !r.active {
+		return
+	}
+	r.alpha *= 1 - r.params.G
+	r.Stats.AlphaDecays++
+	r.armAlphaTimer()
 }
 
 // increase executes one rate-increase event per Fig. 7 / Eqs. (3)-(4).

@@ -17,6 +17,13 @@
 // (internal/parallel) — which runs control events stop-the-world and model
 // events on per-shard cores — executes the same event sequence as a
 // sequential run wherever the order is observable.
+//
+// Scheduling returns an eventq.Handle, never the event itself: the
+// queue owns and recycles event headers (see internal/eventq), and the
+// run loops release each header before running its callback. A handle
+// therefore outlives its event safely — Cancel on a handle whose event
+// fired, or whose header now carries another event, is a no-op — and a
+// component keeps its "timer pending" state as !h.Cancelled().
 package engine
 
 import (
@@ -167,7 +174,7 @@ func (s *Sim) FoldExecuted(t simtime.Time) { s.c.fold(t) }
 // and silently reordering time would corrupt results.
 //
 //hot:path
-func (s *Sim) At(t simtime.Time, fn func()) *eventq.Event {
+func (s *Sim) At(t simtime.Time, fn func()) eventq.Handle {
 	if t < s.c.now {
 		panic(fmt.Sprintf("engine: event scheduled in the past (%v < %v)", t, s.c.now))
 	}
@@ -184,7 +191,7 @@ func (s *Sim) At(t simtime.Time, fn func()) *eventq.Event {
 // frames are merged in at a window boundary (sharded run).
 //
 //hot:path
-func (s *Sim) AtArrival(t simtime.Time, dir, seq uint64, fn func()) *eventq.Event {
+func (s *Sim) AtArrival(t simtime.Time, dir, seq uint64, fn func()) eventq.Handle {
 	if t < s.c.now {
 		panic(fmt.Sprintf("engine: arrival scheduled in the past (%v < %v)", t, s.c.now))
 	}
@@ -195,17 +202,18 @@ func (s *Sim) AtArrival(t simtime.Time, dir, seq uint64, fn func()) *eventq.Even
 // After schedules fn to run d after the current time.
 //
 //hot:path
-func (s *Sim) After(d simtime.Duration, fn func()) *eventq.Event {
+func (s *Sim) After(d simtime.Duration, fn func()) eventq.Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("engine: negative delay %v", d))
 	}
 	return s.At(s.c.now.Add(d), fn)
 }
 
-// Cancel removes a pending event. Safe to call with nil or fired events.
+// Cancel removes a pending event. Safe to call with the zero Handle and
+// with handles whose event already fired or was cancelled.
 //
 //hot:path
-func (s *Sim) Cancel(e *eventq.Event) { s.c.queue.Cancel(e) }
+func (s *Sim) Cancel(h eventq.Handle) { s.c.queue.Cancel(h) }
 
 // Halt stops the run loop after the current event returns. Pending events
 // remain queued; Run can be called again to continue. Halt is a
@@ -249,11 +257,9 @@ func (s *Sim) RunLocal(until simtime.Time) uint64 {
 		if head == nil || head.At > until {
 			break
 		}
-		e := c.queue.Pop()
-		c.auditPop(e.At)
-		c.now = e.At
-		c.fold(e.At)
-		e.Fn()
+		at, fn := c.pop()
+		c.fold(at)
+		fn()
 	}
 	// Advance the clock to the horizon so measurements made "at the end of
 	// the run" (throughput over the window, etc.) see the full window even
@@ -262,6 +268,20 @@ func (s *Sim) RunLocal(until simtime.Time) uint64 {
 		c.now = until
 	}
 	return c.events - start
+}
+
+// pop removes the earliest event, advances the clock to it and returns
+// its callback. The header goes back to the queue before the callback
+// runs, so whatever the callback schedules can reuse it.
+//
+//hot:path
+func (c *core) pop() (simtime.Time, func()) {
+	e := c.queue.Pop()
+	at, fn := e.At, e.Fn
+	c.queue.Release(e)
+	c.auditPop(at)
+	c.now = at
+	return at, fn
 }
 
 // RunWindow executes this core's events with timestamps strictly before
@@ -280,11 +300,9 @@ func (s *Sim) RunWindow(horizon simtime.Time, executed []simtime.Time) []simtime
 		if head == nil || head.At >= horizon {
 			break
 		}
-		e := c.queue.Pop()
-		c.auditPop(e.At)
-		c.now = e.At
-		executed = append(executed, e.At)
-		e.Fn()
+		at, fn := c.pop()
+		executed = append(executed, at)
+		fn()
 	}
 	return executed
 }
@@ -322,14 +340,12 @@ func (s *Sim) RunAll() uint64 {
 		if c.halted {
 			break
 		}
-		e := c.queue.Pop()
-		if e == nil {
+		if c.queue.Len() == 0 {
 			break
 		}
-		c.auditPop(e.At)
-		c.now = e.At
-		c.fold(e.At)
-		e.Fn()
+		at, fn := c.pop()
+		c.fold(at)
+		fn()
 	}
 	return c.events - start
 }
@@ -344,23 +360,18 @@ func (s *Sim) Ticker(period simtime.Duration, fn func(simtime.Time)) (stop func(
 	if period <= 0 {
 		panic("engine: non-positive ticker period")
 	}
-	stopped := false
 	var tick func()
-	var handle *eventq.Event
+	var handle eventq.Handle
 	tick = func() {
-		if stopped {
-			return
-		}
 		// Re-arm before invoking fn: the next tick is already queued while
 		// the callback runs (so nested Run loops keep ticking and Pending
 		// counts it), and stop() called from within fn cancels that
-		// freshly scheduled tick through the shared handle.
+		// freshly scheduled tick through the shared handle. handle always
+		// names the one pending tick, so cancelling it stops the ticker;
+		// a repeated stop holds a stale handle and does nothing.
 		handle = s.After(period, tick)
 		fn(s.c.now)
 	}
 	handle = s.After(period, tick)
-	return func() {
-		stopped = true
-		s.Cancel(handle)
-	}
+	return func() { s.Cancel(handle) }
 }

@@ -208,3 +208,44 @@ func TestCancelTimer(t *testing.T) {
 		t.Fatal("cancelled event fired")
 	}
 }
+
+// TestTickerStopAfterRecycledHeader stops a ticker twice with event
+// headers recycled in between: the first stop releases the pending
+// tick's header, an unrelated event reuses it, and the second stop —
+// holding a stale handle — must leave that event scheduled.
+func TestTickerStopAfterRecycledHeader(t *testing.T) {
+	s := New(1)
+	ticks := 0
+	stop := s.Ticker(10, func(simtime.Time) { ticks++ })
+	other := false
+	s.At(15, func() {
+		stop()
+		s.After(1, func() { other = true }) // reuses the tick's header
+		stop()
+	})
+	s.Run(100)
+	if ticks != 1 {
+		t.Fatalf("got %d ticks, want 1 (stopped at 15)", ticks)
+	}
+	if !other {
+		t.Fatal("repeated stop cancelled the event that reused the tick's header")
+	}
+}
+
+// TestCancelStaleHandle cancels a handle whose event already fired and
+// whose header now carries a later event; the later event must fire.
+func TestCancelStaleHandle(t *testing.T) {
+	s := New(1)
+	first := s.At(10, func() {})
+	s.Run(10)
+	fired := false
+	s.At(20, func() { fired = true }) // reuses first's header
+	if !first.Cancelled() {
+		t.Fatal("handle of a fired event reports pending")
+	}
+	s.Cancel(first)
+	s.RunAll()
+	if !fired {
+		t.Fatal("cancelling a fired event's handle removed the header's new occupant")
+	}
+}

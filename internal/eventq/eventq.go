@@ -18,6 +18,18 @@
 // the key is reproducible whether the model runs on one queue or many,
 // which is what makes whole simulations — sequential or sharded —
 // bit-identical.
+//
+// Event headers are pooled. The queue owns every header: Push takes one
+// from an intrusive free list (allocating only on a pool miss) and
+// returns a Handle, a (header, generation) pair. A popped header still
+// belongs to the queue; the caller reads At and Fn and hands it back
+// with Release before running Fn, so the callback's own scheduling can
+// reuse it. Cancel releases the header itself. Every release bumps the
+// header's generation, which is the rule that keeps handles safe: a
+// Handle whose generation no longer matches its header refers to an
+// event that fired or was cancelled, so Cancelled reports true and
+// Cancel is a no-op — even after the header has been reused by an
+// unrelated event.
 package eventq
 
 import "dcqcn/internal/simtime"
@@ -45,28 +57,46 @@ type Key struct {
 	K1, K2 uint64
 }
 
-// Event is a callback scheduled to run at a point in simulated time.
+// Event is a callback scheduled to run at a point in simulated time. Its
+// header belongs to the Queue that scheduled it; hold a Handle, not an
+// *Event, to refer to a pending event.
 type Event struct {
 	At simtime.Time
 	Fn func()
 
 	key   Key
-	index int // heap index, -1 once popped or cancelled
+	index int    // heap index, -1 once popped or cancelled
+	gen   uint64 // bumped on every release; see Handle
+	next  *Event // free-list link while released
 }
 
 // Key returns the event's equal-time ordering key (exposed for tests).
 func (e *Event) Key() Key { return e.key }
 
-// Cancelled reports whether the event has been removed from the queue
-// (either cancelled or already fired).
-func (e *Event) Cancelled() bool { return e == nil || e.index < 0 }
+// Handle refers to one scheduled event. The zero Handle refers to none.
+// A handle stays valid for as long as its event is pending; once the
+// event fires or is cancelled its header returns to the queue's free
+// list with a new generation, and the stale handle can neither observe
+// nor cancel whatever event reuses the header.
+type Handle struct {
+	e   *Event
+	gen uint64
+}
 
-// Queue is a binary min-heap of events. The zero value is an empty queue
-// ready for use. Queue is not safe for concurrent use; each simulator
-// core is single-threaded by design, and the parallel runtime gives every
-// shard its own queue.
+// Cancelled reports whether the event is no longer pending: it fired,
+// was cancelled, or the handle is the zero Handle. Callers keep their
+// "timer armed" state as !h.Cancelled().
+//
+//hot:path
+func (h Handle) Cancelled() bool { return h.e == nil || h.e.gen != h.gen || h.e.index < 0 }
+
+// Queue is a binary min-heap of events plus the free list of released
+// headers. The zero value is an empty queue ready for use. Queue is not
+// safe for concurrent use; each simulator core is single-threaded by
+// design, and the parallel runtime gives every shard its own queue.
 type Queue struct {
 	heap []*Event
+	free *Event // released headers, linked through Event.next
 	ord  uint64 // insertion ordinal for the convenience Push
 }
 
@@ -81,7 +111,7 @@ func (q *Queue) Len() int { return len(q.heap) }
 // queue users get the classic deterministic FIFO tie-break.
 //
 //hot:path
-func (q *Queue) Push(at simtime.Time, fn func()) *Event {
+func (q *Queue) Push(at simtime.Time, fn func()) Handle {
 	k := Key{Class: ClassLocal, K1: q.ord}
 	q.ord++
 	return q.PushKeyed(at, k, fn)
@@ -91,18 +121,27 @@ func (q *Queue) Push(at simtime.Time, fn func()) *Event {
 // returns a handle that can be passed to Cancel.
 //
 //hot:path
-func (q *Queue) PushKeyed(at simtime.Time, key Key, fn func()) *Event {
-	// One Event header per schedule is the queue's unit of work; pooling
-	// Events is the engine-overhaul open item. The escape is budgeted in
-	// escape.golden.
-	e := &Event{At: at, Fn: fn, key: key}
+func (q *Queue) PushKeyed(at simtime.Time, key Key, fn func()) Handle {
+	e := q.free
+	if e != nil {
+		q.free = e.next
+		e.next = nil
+		e.At, e.Fn, e.key = at, fn, key
+	} else {
+		// Pool miss: the free list is empty only until the queue has
+		// reached its peak depth, so steady state never gets here. The
+		// escape is budgeted in escape.golden.
+		e = &Event{At: at, Fn: fn, key: key}
+	}
 	e.index = len(q.heap)
 	q.heap = append(q.heap, e)
 	q.up(e.index)
-	return e
+	return Handle{e: e, gen: e.gen}
 }
 
-// Pop removes and returns the earliest event, or nil if the queue is empty.
+// Pop removes and returns the earliest event, or nil if the queue is
+// empty. The header still belongs to the queue: read At and Fn, then
+// Release it (before calling Fn, so Fn's own scheduling can reuse it).
 //
 //hot:path
 func (q *Queue) Pop() *Event {
@@ -121,6 +160,18 @@ func (q *Queue) Pop() *Event {
 	return top
 }
 
+// Release returns a popped event's header to the free list and
+// invalidates every Handle to it. Release each popped header exactly
+// once, and do not touch it afterwards.
+//
+//hot:path
+func (q *Queue) Release(e *Event) {
+	e.gen++
+	e.Fn = nil
+	e.next = q.free
+	q.free = e
+}
+
 // Peek returns the earliest event without removing it, or nil if empty.
 //
 //hot:path
@@ -131,15 +182,17 @@ func (q *Queue) Peek() *Event {
 	return q.heap[0]
 }
 
-// Cancel removes a pending event from the queue. Cancelling a nil, fired,
-// or already-cancelled event is a no-op, so callers can cancel timers
+// Cancel removes a pending event from the queue and releases its header.
+// Cancelling the zero Handle, or a handle whose event already fired or
+// was cancelled, is a no-op, so callers can cancel timers
 // unconditionally.
 //
 //hot:path
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+func (q *Queue) Cancel(h Handle) {
+	if h.Cancelled() {
 		return
 	}
+	e := h.e
 	i := e.index
 	last := len(q.heap) - 1
 	q.swap(i, last)
@@ -150,6 +203,7 @@ func (q *Queue) Cancel(e *Event) {
 		q.up(i)
 	}
 	e.index = -1
+	q.Release(e)
 }
 
 // Less reports whether key a orders before key b at equal timestamps.

@@ -18,8 +18,7 @@ func TestPopOrder(t *testing.T) {
 		q.Push(at, func() { got = append(got, i) })
 	}
 	for q.Len() > 0 {
-		e := q.Pop()
-		e.Fn()
+		popRun(&q)
 	}
 	want := []int{1, 3, 2, 4, 0} // indices sorted by time
 	if len(got) != len(want) {
@@ -40,7 +39,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		q.Push(7, func() { got = append(got, i) })
 	}
 	for q.Len() > 0 {
-		q.Pop().Fn()
+		popRun(&q)
 	}
 	for i := 0; i < 100; i++ {
 		if got[i] != i {
@@ -52,7 +51,7 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var q Queue
 	fired := map[int]bool{}
-	var handles []*Event
+	var handles []Handle
 	for i := 0; i < 10; i++ {
 		i := i
 		handles = append(handles, q.Push(simtime.Time(i), func() { fired[i] = true }))
@@ -61,9 +60,9 @@ func TestCancel(t *testing.T) {
 	q.Cancel(handles[5])
 	q.Cancel(handles[9])
 	q.Cancel(handles[5]) // double cancel is a no-op
-	q.Cancel(nil)        // nil cancel is a no-op
+	q.Cancel(Handle{})   // zero-handle cancel is a no-op
 	for q.Len() > 0 {
-		q.Pop().Fn()
+		popRun(&q)
 	}
 	for _, i := range []int{0, 5, 9} {
 		if fired[i] {
@@ -88,9 +87,49 @@ func TestCancelledStatus(t *testing.T) {
 		t.Fatal("cancelled event does not report cancelled")
 	}
 	e2 := q.Push(1, func() {})
-	q.Pop()
+	popped := q.Pop()
 	if !e2.Cancelled() {
 		t.Fatal("popped event does not report cancelled")
+	}
+	q.Release(popped)
+	if !e2.Cancelled() {
+		t.Fatal("released event does not report cancelled")
+	}
+	if !(Handle{}).Cancelled() {
+		t.Fatal("zero handle does not report cancelled")
+	}
+}
+
+// TestStaleHandleAfterReuse pins the generation rule: once a header is
+// released and reused, the old handle reports cancelled and cancelling
+// it leaves the header's new occupant scheduled.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	for _, retire := range []string{"fired", "cancelled"} {
+		t.Run(retire, func(t *testing.T) {
+			var q Queue
+			stale := q.Push(1, func() {})
+			if retire == "fired" {
+				q.Release(q.Pop())
+			} else {
+				q.Cancel(stale)
+			}
+			fired := false
+			fresh := q.Push(2, func() { fired = true })
+			if fresh.e != stale.e {
+				t.Fatal("released header was not reused by the next push")
+			}
+			if !stale.Cancelled() {
+				t.Fatal("stale handle reports pending after its header was reused")
+			}
+			q.Cancel(stale)
+			if fresh.Cancelled() || q.Len() != 1 {
+				t.Fatalf("cancelling a stale handle removed the header's new occupant (len %d)", q.Len())
+			}
+			popRun(&q)
+			if !fired {
+				t.Fatal("new occupant did not fire")
+			}
+		})
 	}
 }
 
@@ -101,7 +140,7 @@ func TestPeek(t *testing.T) {
 	}
 	q.Push(5, func() {})
 	e := q.Push(3, func() {})
-	if q.Peek() != e {
+	if q.Peek() != e.e {
 		t.Fatal("peek did not return earliest event")
 	}
 	if q.Len() != 2 {
@@ -121,7 +160,7 @@ func TestPopEmpty(t *testing.T) {
 func TestHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue
-	pending := map[*Event]simtime.Time{}
+	pending := map[Handle]simtime.Time{}
 	minPending := func() (simtime.Time, bool) {
 		min, ok := simtime.Forever, false
 		for _, at := range pending {
@@ -151,11 +190,12 @@ func TestHeapProperty(t *testing.T) {
 			if e.At != want {
 				t.Fatalf("pop returned %d, min pending is %d", e.At, want)
 			}
-			delete(pending, e)
+			delete(pending, Handle{e: e, gen: e.gen})
+			q.Release(e)
 		default:
-			for e := range pending { // random map iteration picks a victim
-				q.Cancel(e)
-				delete(pending, e)
+			for h := range pending { // random map iteration picks a victim
+				q.Cancel(h)
+				delete(pending, h)
 				break
 			}
 		}
@@ -176,9 +216,11 @@ func TestQuickSortedDrain(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for i := 0; q.Len() > 0; i++ {
-			if got := q.Pop().At; got != want[i] {
+			e := q.Pop()
+			if e.At != want[i] {
 				return false
 			}
+			q.Release(e)
 		}
 		return true
 	}
@@ -194,7 +236,16 @@ func BenchmarkPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Push(simtime.Time(rng.Int63n(1e12)), fn)
 		if q.Len() > 1024 {
-			q.Pop()
+			q.Release(q.Pop())
 		}
 	}
+}
+
+// popRun pops the earliest event, releases its header and runs it, as
+// the engine's run loop does.
+func popRun(q *Queue) {
+	e := q.Pop()
+	fn := e.Fn
+	q.Release(e)
+	fn()
 }

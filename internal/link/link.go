@@ -9,6 +9,15 @@
 // A Link joins two Ports and adds serialization (at the port rate) plus
 // propagation delay. Store-and-forward is assumed: the receiving device
 // sees a packet only after its last bit arrives.
+//
+// Frames on the wire live in a per-direction in-flight FIFO, not in
+// per-frame closures. A direction's arrivals fire in (time, direction
+// ID, sequence) order, which is the order its frames entered the wire,
+// so one continuation per direction, bound in Connect, lands the head
+// of the FIFO. A frame crossing a shard boundary takes the same path:
+// the sending shard's Transport carries the frame itself, and the
+// parallel runtime Injects it into the destination FIFO at the window
+// barrier.
 package link
 
 import (
@@ -395,14 +404,13 @@ func (r DropReason) String() string {
 }
 
 // Transport carries one direction of a link across a shard boundary in
-// the parallel runtime: instead of scheduling the arrival on the sender's
-// own core, deliver hands the arrival continuation — with its absolute
-// arrival time and intrinsic (direction ID, frame sequence) ordering key —
-// to the transport, which the coordinator later injects into the
-// destination shard's queue via Sim.AtArrival. Sequential runs never set
-// a transport; the default path schedules locally with the same key.
+// the parallel runtime: instead of injecting the frame on the sender's
+// own core, deliver hands it — with its absolute arrival time and
+// per-direction sequence number — to the transport, and the coordinator
+// later passes both to Link.Inject on the destination shard. Sequential
+// runs never set a transport; deliver injects directly.
 type Transport interface {
-	Send(at simtime.Time, dir, seq uint64, fn func())
+	Send(at simtime.Time, seq uint64, pkt *packet.Packet)
 }
 
 // Link is a full-duplex cable between two ports.
@@ -411,9 +419,9 @@ type Transport interface {
 // (0 = a→b, 1 = b→a, matching Ports). The split is what makes a link
 // safe to straddle a shard boundary: direction d's source-side fields
 // (frame sequence, bytes sent, entry-drop counters, loss stream) are only
-// touched by the sending shard, and its destination-side fields (bytes
-// arrived, flap-kill counters) only by the receiving shard, so no word is
-// written from two cores.
+// touched by the sending shard, and its destination-side fields (the
+// in-flight FIFO, bytes arrived, flap-kill counters) only by the
+// receiving shard, so no word is written from two cores.
 type Link struct {
 	a, b  *Port
 	delay simtime.Duration
@@ -425,10 +433,20 @@ type Link struct {
 	// is scheduled locally or merged across a shard boundary.
 	dirID  [2]uint64
 	dirSeq [2]uint64
-	// xport, if set for a direction, carries that direction's arrivals to
+	// xport, if set for a direction, carries that direction's frames to
 	// another shard. nil means the destination port shares the sender's
-	// core and arrivals are scheduled directly.
+	// core and deliver injects directly.
 	xport [2]Transport
+
+	// inflight holds each direction's propagating frames in arrival
+	// order; arrive is the direction's landing continuation, bound once
+	// in Connect, which pops the head. doomed counts the frames at the
+	// head of inflight that a flap killed: SetDown sets it to the FIFO
+	// length, because every frame on the wire when the cable changes
+	// state dies with it.
+	inflight [2]fifo
+	arrive   [2]func()
+	doomed   [2]int
 
 	// lossRate is the probability an individual frame is corrupted in
 	// flight (per direction), modelling the non-congestion losses the
@@ -448,13 +466,12 @@ type Link struct {
 
 	// down models a failed cable (fault injection): while set, every
 	// frame entering the link is lost, and frames already propagating
-	// when the link went down never arrive (their photons died with the
-	// cable). epoch increments on every state change so in-flight
-	// deliveries can detect that a flap happened under them. Fault
-	// transitions run as control events — stop-the-world in the parallel
-	// runtime — so model code only ever reads these fields.
-	down  bool
-	epoch uint64
+	// when the link changes state never arrive (their photons died with
+	// the cable; see doomed). Fault transitions run as control events —
+	// stop-the-world in the parallel runtime, where every cross-shard
+	// frame has already been injected into its destination FIFO — so
+	// model code only ever reads down.
+	down bool
 	// DropHook, if set, is consulted for every frame entering the link
 	// (after the down check, before random loss); returning true drops
 	// the frame. The fault-injection subsystem uses it for targeted,
@@ -495,6 +512,7 @@ func Connect(sim *engine.Sim, a, b *Port, delay simtime.Duration) *Link {
 	for d := range l.dirID {
 		l.dirID[d] = sim.NextID()
 		l.lossRng[d] = sim.NewStream(lossStreamSeed(sim.Seed(), l.dirID[d]))
+		l.arrive[d] = func() { l.land(d) }
 	}
 	a.link, a.peer = l, b
 	b.link, b.peer = l, a
@@ -559,13 +577,24 @@ func (l *Link) InFlightBytes() int64 {
 	return f
 }
 
-// deliver schedules arrival of pkt at the far end of the link.
+// ends returns the sending and receiving port of direction d.
+//
+//hot:path
+func (l *Link) ends(d int) (from, to *Port) {
+	if d == 0 {
+		return l.a, l.b
+	}
+	return l.b, l.a
+}
+
+// deliver puts pkt, whose last bit just left from, on the wire toward
+// the far end, unless a fault or random loss destroys it on entry.
 //
 //hot:path
 func (l *Link) deliver(from *Port, pkt *packet.Packet) {
-	d, to := 0, l.b
+	d := 0
 	if from == l.b {
-		d, to = 1, l.a
+		d = 1
 	}
 	if l.down {
 		l.entryFaultDrops[d]++
@@ -591,45 +620,65 @@ func (l *Link) deliver(from *Port, pkt *packet.Packet) {
 		}
 		return
 	}
-	epoch := l.epoch
 	l.sentBytes[d] += int64(pkt.Size)
 	seq := l.dirSeq[d]
 	l.dirSeq[d]++
 	at := from.sim.Now().Add(l.delay)
-	// Per-frame in-flight state (epoch, bytes, destination) must outlive
-	// deliver; pooling arrival continuations is the engine-overhaul open
-	// item. The escape is budgeted in escape.golden.
-	arrive := func() {
-		l.arrivedBytes[d] += int64(pkt.Size)
-		// A flap while the frame was propagating kills it, even if the
-		// link is back up by the time the last bit would have arrived.
-		if l.epoch != epoch {
-			l.flapFaultDrops[d]++
-			l.flapFaultDropBytes[d] += int64(pkt.Size)
-			if l.OnDrop != nil {
-				l.OnDrop(from, pkt, DropFlapEpoch)
-			}
-			return
-		}
-		to.receive(pkt)
-	}
 	if x := l.xport[d]; x != nil {
-		x.Send(at, l.dirID[d], seq, arrive)
+		x.Send(at, seq, pkt)
 		return
 	}
-	from.sim.AtArrival(at, l.dirID[d], seq, arrive)
+	l.Inject(d, at, seq, pkt)
 }
 
-// SetDown fails (true) or restores (false) the cable. Going down drops
-// all frames currently propagating; coming back up re-kicks both ports,
-// whose egress queues kept filling while the cable was dead (transmit
-// is not inhibited by a down link — the device does not know).
+// Inject appends pkt to direction dir's in-flight FIFO and schedules
+// the direction's landing continuation at time at, on the receiving
+// port's core, under the intrinsic (direction ID, seq) arrival key.
+// deliver calls it for frames that stay on one core; the parallel
+// runtime calls it at a window barrier for the frames a cut link's
+// Transport carried, in the order they were sent.
+//
+//hot:path
+func (l *Link) Inject(dir int, at simtime.Time, seq uint64, pkt *packet.Packet) {
+	l.inflight[dir].push(pkt)
+	_, to := l.ends(dir)
+	to.sim.AtArrival(at, l.dirID[dir], seq, l.arrive[dir])
+}
+
+// land ends the propagation of direction d's oldest in-flight frame:
+// the receiving port gets it, unless a flap while it propagated killed
+// it — even if the link is back up by the time its last bit arrives.
+//
+//hot:path
+func (l *Link) land(d int) {
+	pkt := l.inflight[d].pop()
+	l.arrivedBytes[d] += int64(pkt.Size)
+	from, to := l.ends(d)
+	if l.doomed[d] > 0 {
+		l.doomed[d]--
+		l.flapFaultDrops[d]++
+		l.flapFaultDropBytes[d] += int64(pkt.Size)
+		if l.OnDrop != nil {
+			l.OnDrop(from, pkt, DropFlapEpoch)
+		}
+		return
+	}
+	to.receive(pkt)
+}
+
+// SetDown fails (true) or restores (false) the cable. Either transition
+// drops all frames currently propagating; coming back up re-kicks both
+// ports, whose egress queues kept filling while the cable was dead
+// (transmit is not inhibited by a down link — the device does not
+// know).
 func (l *Link) SetDown(down bool) {
 	if l.down == down {
 		return
 	}
 	l.down = down
-	l.epoch++
+	for d := range l.doomed {
+		l.doomed[d] = l.inflight[d].len()
+	}
 	if !down {
 		l.a.Kick()
 		l.b.Kick()

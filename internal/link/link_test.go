@@ -348,3 +348,86 @@ func TestLossInjection(t *testing.T) {
 	_ = a
 	_ = sb
 }
+
+// TestFlapKillsFramesInFlight puts frames on the wire in both directions,
+// then flaps the cable (down, then up) while they propagate. Every frame
+// on the wire at the flap dies as a flap-epoch drop, a frame serialized
+// while the cable is down dies on entry, and frames sent after the link
+// returns — queued in the in-flight FIFO behind the doomed ones — arrive.
+func TestFlapKillsFramesInFlight(t *testing.T) {
+	sim := engine.New(1)
+	rate := 40 * simtime.Gbps
+	sa, sb := &sink{sim: sim}, &sink{sim: sim}
+	a := NewPort(sim, "a", 0, rate, sa)
+	b := NewPort(sim, "b", 0, rate, sb)
+	l := Connect(sim, a, b, 10*simtime.Microsecond)
+	type drop struct {
+		from   *Port
+		reason DropReason
+	}
+	var drops []drop
+	l.OnDrop = func(from *Port, _ *packet.Packet, r DropReason) { drops = append(drops, drop{from, r}) }
+	frame := func(psn int64) *packet.Packet {
+		return packet.NewData(1, packet.FiveTuple{}, psn, packet.MTU, false)
+	}
+
+	for i := 0; i < 5; i++ {
+		a.Enqueue(frame(int64(i)))
+	}
+	for i := 0; i < 3; i++ {
+		b.Enqueue(frame(int64(i)))
+	}
+	// All eight frames have left their ports by 2 µs (5 × 312.4 ns) and
+	// land no earlier than 10.3 µs.
+	sim.At(2*simtime.Time(simtime.Microsecond), func() {
+		if got := l.InFlightBytes(); got != 8*int64(frame(0).Size) {
+			t.Errorf("in flight before the flap: %d bytes, want 8 frames", got)
+		}
+		l.SetDown(true)
+		b.Enqueue(frame(3)) // serialized onto a dead cable
+	})
+	sim.At(3*simtime.Time(simtime.Microsecond), func() {
+		l.SetDown(false)
+		a.Enqueue(frame(5))
+		a.Enqueue(frame(6))
+	})
+	sim.RunAll()
+
+	if len(sa.got) != 0 {
+		t.Errorf("a received %d frames, want 0 (all b→a frames died)", len(sa.got))
+	}
+	if len(sb.got) != 2 || sb.got[0].PSN != 5 || sb.got[1].PSN != 6 {
+		t.Fatalf("b received %v, want only the two post-flap frames", sb.got)
+	}
+	var fromA, fromB, linkDown int
+	for _, d := range drops {
+		switch {
+		case d.reason == DropLinkDown && d.from == b:
+			linkDown++
+		case d.reason == DropFlapEpoch && d.from == a:
+			fromA++
+		case d.reason == DropFlapEpoch && d.from == b:
+			fromB++
+		default:
+			t.Errorf("unexpected drop %v from %s", d.reason, d.from.Name)
+		}
+	}
+	if fromA != 5 || fromB != 3 || linkDown != 1 {
+		t.Errorf("flap drops a→b %d, b→a %d, link-down %d; want 5, 3, 1", fromA, fromB, linkDown)
+	}
+	if got, want := l.flapFaultDrops, [2]int64{5, 3}; got != want {
+		t.Errorf("flap drop counters %v, want %v", got, want)
+	}
+	if got, want := l.FaultDrops(), int64(9); got != want {
+		t.Errorf("FaultDrops %d, want %d", got, want)
+	}
+	if got := l.InFlightBytes(); got != 0 {
+		t.Errorf("InFlightBytes %d after the wire drained, want 0", got)
+	}
+	tx := a.Stats.TxBytes + b.Stats.TxBytes
+	rx := a.Stats.RxBytes + b.Stats.RxBytes
+	if tx != rx+l.LostBytes()+l.FaultDropBytes()+l.InFlightBytes() {
+		t.Errorf("conservation: tx %d != rx %d + lost %d + fault %d + in flight %d",
+			tx, rx, l.LostBytes(), l.FaultDropBytes(), l.InFlightBytes())
+	}
+}

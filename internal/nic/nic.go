@@ -145,7 +145,8 @@ type NIC struct {
 
 	lastCNPAt  simtime.Time
 	cnpQueue   []*packet.Packet
-	cnpDrainer *eventq.Event
+	cnpDrainer eventq.Handle // pending CNP pacing event, if any
+	drainFired func()        // drainCNPs, bound once in New
 
 	rxQueue []*packet.Packet
 	//acct: bytes queued in the receive pipeline awaiting processing
@@ -191,9 +192,13 @@ type flowState struct {
 	nextSendAt    simtime.Time // earliest start of the next transmission
 	lastSendAt    simtime.Time
 	lastSentBytes int
-	event         *eventq.Event // pending pacing event
-	stalled       bool          // blocked on NIC tx backlog
-	closed        bool          // torn down; never send again
+	// send re-enters the pacer for this flow. Bound once at OpenFlow, it
+	// is both the transport's wake hook and the pacing event's callback,
+	// so pacing a packet allocates no closure.
+	send    func()
+	event   eventq.Handle // pending pacing event, if any
+	stalled bool          // blocked on NIC tx backlog
+	closed  bool          // torn down; never send again
 }
 
 type recvState struct {
@@ -221,6 +226,7 @@ func New(sim *engine.Sim, id packet.NodeID, name string, cfg Config) *NIC {
 	}
 	n.port = link.NewPort(sim, name, 0, cfg.LineRate, n)
 	n.port.OnDeparture = n.onDeparture
+	n.drainFired = n.drainCNPs
 	return n
 }
 
@@ -265,7 +271,7 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 	n.nextPort++
 	ctrl := n.cfg.Controller(n.clock)
 	fs := &flowState{
-		qp:   rocev2.NewSender(id, tuple, n.cfg.Transport, n.clock, ctrl),
+		qp:   rocev2.NewSender(id, tuple, n.cfg.Transport, n.sim, ctrl),
 		ctrl: ctrl,
 	}
 	rateHook := func(r simtime.Rate) {
@@ -307,7 +313,8 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 			fs.qcn = qr
 		}
 	}
-	fs.qp.SetWakeFunc(func() { n.trySend(fs) })
+	fs.send = func() { n.trySend(fs) }
+	fs.qp.SetWakeFunc(fs.send)
 	n.senders[id] = fs
 	return &Flow{nic: n, fs: fs, id: id}
 }
@@ -334,10 +341,7 @@ func (f *Flow) CurrentRate() simtime.Rate { return f.fs.ctrl.Rate() }
 func (f *Flow) Close() {
 	f.fs.closed = true
 	f.fs.qp.Stop()
-	if f.fs.event != nil {
-		f.nic.sim.Cancel(f.fs.event)
-		f.fs.event = nil
-	}
+	f.nic.sim.Cancel(f.fs.event)
 	delete(f.nic.senders, f.id)
 }
 
@@ -347,7 +351,7 @@ func (n *NIC) trySend(fs *flowState) {
 	if fs.closed {
 		return
 	}
-	if fs.event != nil {
+	if !fs.event.Cancelled() {
 		return // a pacing event is already scheduled
 	}
 	for {
@@ -363,10 +367,7 @@ func (n *NIC) trySend(fs *flowState) {
 		}
 		now := n.sim.Now()
 		if now < fs.nextSendAt {
-			fs.event = n.sim.At(fs.nextSendAt, func() {
-				fs.event = nil
-				n.trySend(fs)
-			})
+			fs.event = n.sim.At(fs.nextSendAt, fs.send)
 			return
 		}
 		pkt := fs.qp.BuildNext()
@@ -395,10 +396,7 @@ func (n *NIC) onRateChange(fs *flowState) {
 		return
 	}
 	fs.nextSendAt = fs.lastSendAt.Add(rate.TxTime(fs.lastSentBytes))
-	if fs.event != nil {
-		n.sim.Cancel(fs.event)
-		fs.event = nil
-	}
+	n.sim.Cancel(fs.event)
 	n.trySend(fs)
 }
 
@@ -590,7 +588,7 @@ func (n *NIC) emitCNP(flow packet.FlowID, tuple packet.FiveTuple) {
 }
 
 func (n *NIC) drainCNPs() {
-	if n.cnpDrainer != nil {
+	if !n.cnpDrainer.Cancelled() {
 		return
 	}
 	for len(n.cnpQueue) > 0 {
@@ -600,10 +598,7 @@ func (n *NIC) drainCNPs() {
 			ready = now
 		}
 		if now < ready {
-			n.cnpDrainer = n.sim.At(ready, func() {
-				n.cnpDrainer = nil
-				n.drainCNPs()
-			})
+			n.cnpDrainer = n.sim.At(ready, n.drainFired)
 			return
 		}
 		cnp := n.cnpQueue[0]

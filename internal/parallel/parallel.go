@@ -26,12 +26,12 @@
 //     sequential run would show it, and fault writes are plain writes.
 //
 //   - Frames crossing a cut link travel as timestamped messages, injected
-//     into the destination shard's queue at the window barrier with the
-//     same (time, direction, sequence) key a sequential run would have
-//     used, and the run digest is reconstructed on the control core by
-//     merging per-shard executed-event streams in global time order
-//     (equal-time fold order cannot change the digest — see
-//     engine.Digest).
+//     into the destination's in-flight FIFO and queue at the window
+//     barrier through the same Link.Inject a sequential run uses, with
+//     the same (time, direction, sequence) key, and the run digest is
+//     reconstructed on the control core by merging per-shard
+//     executed-event streams in global time order (equal-time fold
+//     order cannot change the digest — see engine.Digest).
 //
 // Sharding declines quietly (the run stays sequential) when the effective
 // partition has fewer than two shards — a star topology cannot split —
@@ -45,20 +45,22 @@ import (
 	"dcqcn/internal/engine"
 	"dcqcn/internal/flightrec"
 	"dcqcn/internal/invariant"
+	"dcqcn/internal/link"
+	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
 )
 
 func init() { topology.Sharder = Shard }
 
-// msg is one cross-shard frame arrival: the continuation deliver() built,
-// plus the absolute arrival time and intrinsic ordering key it must be
-// scheduled under on the destination core.
+// msg is one cross-shard frame: the packet, the link direction it
+// travels, and the absolute arrival time and frame sequence number it
+// must be injected under on the destination core.
 type msg struct {
-	at       simtime.Time
-	dir, seq uint64
-	fn       func()
-	dst      int
+	at  simtime.Time
+	seq uint64
+	pkt *packet.Packet
+	out *outboundDir
 }
 
 // shard is one partition of the network on its own core, driven by a
@@ -80,14 +82,15 @@ type shard struct {
 }
 
 // outboundDir is the link.Transport for one direction of a cut link: it
-// lives on the sending shard and queues arrivals for the destination.
+// lives on the sending shard and queues frames for the destination.
 type outboundDir struct {
-	src *shard
-	dst int
+	src  *shard
+	link *link.Link
+	dir  int
 }
 
-func (o *outboundDir) Send(at simtime.Time, dir, seq uint64, fn func()) {
-	o.src.outbox = append(o.src.outbox, msg{at: at, dir: dir, seq: seq, fn: fn, dst: o.dst})
+func (o *outboundDir) Send(at simtime.Time, seq uint64, pkt *packet.Packet) {
+	o.src.outbox = append(o.src.outbox, msg{at: at, seq: seq, pkt: pkt, out: o})
 }
 
 // coord drives the shards through alternating stop-the-world control
@@ -150,8 +153,8 @@ func Shard(n *topology.Network, k int) {
 		}
 		// Direction 0 carries frames from endpoint a (shard cl.A) to
 		// endpoint b (shard cl.B); direction 1 the reverse.
-		cl.Link.SetTransport(0, &outboundDir{src: c.shards[cl.A], dst: cl.B})
-		cl.Link.SetTransport(1, &outboundDir{src: c.shards[cl.B], dst: cl.A})
+		cl.Link.SetTransport(0, &outboundDir{src: c.shards[cl.A], link: cl.Link, dir: 0})
+		cl.Link.SetTransport(1, &outboundDir{src: c.shards[cl.B], link: cl.Link, dir: 1})
 	}
 	n.Sim.SetRunner(c.run)
 }
@@ -285,15 +288,19 @@ func (c *coord) mergeExecuted() {
 	}
 }
 
-// injectOutboxes schedules every cross-shard arrival generated in the
-// last window onto its destination core. Lookahead guarantees the arrival
-// time is at or beyond every shard's horizon, and the intrinsic
-// (direction, sequence) key slots it into the destination queue exactly
-// where a sequential run would have put it.
+// injectOutboxes puts every cross-shard frame sent in the last window on
+// its link's destination FIFO and schedules its landing on the
+// destination core (Link.Inject). A direction has one sending shard,
+// whose outbox holds its frames in send order, so each FIFO receives
+// them in arrival order. Lookahead guarantees the arrival time is at or
+// beyond every shard's horizon, and the intrinsic (direction, sequence)
+// key slots it into the destination queue exactly where a sequential
+// run would have put it. Outboxes are empty whenever a control turn
+// runs, so a link flap finds every in-flight frame in a FIFO.
 func (c *coord) injectOutboxes() {
 	for _, sh := range c.shards {
 		for _, m := range sh.outbox {
-			c.shards[m.dst].sim.AtArrival(m.at, m.dir, m.seq, m.fn)
+			m.out.link.Inject(m.out.dir, m.at, m.seq, m.pkt)
 		}
 		sh.outbox = sh.outbox[:0]
 	}

@@ -5,6 +5,8 @@ import (
 
 	"dcqcn/internal/engine"
 	"dcqcn/internal/invariant"
+	"dcqcn/internal/link"
+	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
 )
@@ -67,6 +69,68 @@ func TestMergeOrderInterleavingInvariant(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if got := digestOf(t, 4, until); got != want {
 			t.Fatalf("iteration %d: digest %v, want %v — merge order leaked scheduler state", i, got, want)
+		}
+	}
+}
+
+// TestCutLinkFlapMatchesSequential flaps every link the 2-way
+// partition cuts, five times, while cross-pod traffic is on the wire. Sharded, the
+// frames on those links reached their destination FIFOs through the
+// barrier injection, so the flap must kill exactly the frames a
+// sequential run kills, and the digests must agree.
+func TestCutLinkFlapMatchesSequential(t *testing.T) {
+	run := func(shards int) (engine.Digest, []int64) {
+		net := buildTestbed(t, shards)
+		cut := net.Partition(2).Cross
+		// kills[2*i+d] counts flap kills in direction d of cut link i;
+		// only direction d's receiving shard writes it.
+		kills := make([]int64, 2*len(cut))
+		for i, cl := range cut {
+			a, _ := cl.Link.Ports()
+			cl.Link.OnDrop = func(from *link.Port, _ *packet.Packet, r link.DropReason) {
+				if r != link.DropFlapEpoch {
+					return
+				}
+				d := 1
+				if from == a {
+					d = 0
+				}
+				kills[2*i+d]++
+			}
+		}
+		flap := func(down bool) func() {
+			return func() {
+				for _, cl := range cut {
+					cl.Link.SetDown(down)
+				}
+			}
+		}
+		for k := 0; k < 5; k++ {
+			down := simtime.Time(20+10*k) * simtime.Time(simtime.Microsecond)
+			net.Sim.At(down, flap(true))
+			net.Sim.At(down.Add(simtime.Microsecond), flap(false))
+		}
+		net.Sim.Run(simtime.Time(200 * simtime.Microsecond))
+		return net.Sim.Digest(), kills
+	}
+	want, wantKills := run(0)
+	var total int64
+	for _, k := range wantKills {
+		total += k
+	}
+	if total == 0 {
+		t.Fatal("the flap killed no frames on the cut links — the test exercised nothing")
+	}
+	for _, shards := range []int{2, 4} {
+		got, kills := run(shards)
+		if got != want {
+			t.Errorf("shards=%d digest %v, want sequential %v", shards, got, want)
+		}
+		for i := range kills {
+			if kills[i] != wantKills[i] {
+				t.Errorf("shards=%d: cut link %d direction %d lost %d frames to the flap, sequential %d",
+					shards, i/2, i%2, kills[i], wantKills[i])
+			}
 		}
 	}
 }

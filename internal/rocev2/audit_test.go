@@ -6,20 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"dcqcn/internal/engine"
 	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
 )
 
-// fakeClock is the minimal core.Clock for audit tests.
-type fakeClock struct{ now simtime.Time }
-
-func (c *fakeClock) Now() simtime.Time { return c.now }
-func (c *fakeClock) After(d simtime.Duration, fn func()) func() {
-	return func() {}
-}
-
 func auditSender() *Sender {
-	s := NewSender(1, packet.FiveTuple{}, DefaultConfig(), &fakeClock{}, FixedRate(simtime.Gbps))
+	s := NewSender(1, packet.FiveTuple{}, DefaultConfig(), engine.New(1), FixedRate(simtime.Gbps))
 	s.PostMessage(10*1000, nil)
 	return s
 }

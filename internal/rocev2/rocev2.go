@@ -16,7 +16,8 @@ package rocev2
 import (
 	"fmt"
 
-	"dcqcn/internal/core"
+	"dcqcn/internal/engine"
+	"dcqcn/internal/eventq"
 	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
 )
@@ -158,7 +159,7 @@ type Sender struct {
 	Tuple packet.FiveTuple
 
 	cfg        Config
-	clock      core.Clock
+	sim        *engine.Sim
 	Controller RateController
 
 	messages []*message // posted, not yet fully acked
@@ -167,7 +168,12 @@ type Sender struct {
 	acked    int64      // PSNs < acked are cumulatively acknowledged
 	endPSN   int64      // PSN after the last posted message
 
-	cancelRTO func()
+	// rto is the pending retransmission timer, if any: an engine handle,
+	// so cancelling it needs no closure. rtoFired is onRTO bound once at
+	// construction, so re-arming the RTO on every send and ACK allocates
+	// nothing.
+	rto      eventq.Handle
+	rtoFired func()
 	// onWake, set by the NIC, is called when the sender transitions from
 	// blocked (no data / window full) to sendable, so pacing can resume.
 	onWake func()
@@ -183,12 +189,14 @@ type Sender struct {
 	Stats SenderStats
 }
 
-// NewSender creates the send half of a QP.
-func NewSender(flow packet.FlowID, tuple packet.FiveTuple, cfg Config, clock core.Clock, ctrl RateController) *Sender {
+// NewSender creates the send half of a QP whose timers run on sim.
+func NewSender(flow packet.FlowID, tuple packet.FiveTuple, cfg Config, sim *engine.Sim, ctrl RateController) *Sender {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Sender{Flow: flow, Tuple: tuple, cfg: cfg, clock: clock, Controller: ctrl}
+	s := &Sender{Flow: flow, Tuple: tuple, cfg: cfg, sim: sim, Controller: ctrl}
+	s.rtoFired = s.onRTO
+	return s
 }
 
 // SetWakeFunc registers the NIC pacing hook invoked whenever previously
@@ -206,7 +214,7 @@ func (s *Sender) PostMessage(size int64, onComplete func(Completion)) {
 		startPSN:   s.endPSN,
 		numPackets: n,
 		size:       size,
-		postedAt:   s.clock.Now(),
+		postedAt:   s.sim.Now(),
 		onComplete: onComplete,
 	}
 	s.messages = append(s.messages, m)
@@ -238,7 +246,7 @@ func (s *Sender) BuildNext() *packet.Packet {
 	if s.cfg.Priority != 0 {
 		pkt.Priority = s.cfg.Priority
 	}
-	pkt.SentAt = s.clock.Now()
+	pkt.SentAt = s.sim.Now()
 	if s.nextPSN < s.maxSent {
 		s.Stats.Retransmits++
 		s.Stats.RetransmitBytes += int64(pkt.Size)
@@ -271,7 +279,7 @@ func (s *Sender) OnAck(psn int64) {
 		s.Stats.PayloadAcked += m.size
 		s.Stats.Completions++
 		if m.onComplete != nil {
-			m.onComplete(Completion{Size: m.size, PostedAt: m.postedAt, DoneAt: s.clock.Now()})
+			m.onComplete(Completion{Size: m.size, PostedAt: m.postedAt, DoneAt: s.sim.Now()})
 		}
 	}
 	if s.acked >= s.endPSN {
@@ -337,20 +345,14 @@ func (s *Sender) armRTO() {
 		return
 	}
 	s.cancelRTOTimer()
-	s.cancelRTO = s.clock.After(s.cfg.RTO, s.onRTO)
+	s.rto = s.sim.After(s.cfg.RTO, s.rtoFired)
 }
 
-func (s *Sender) cancelRTOTimer() {
-	if s.cancelRTO != nil {
-		s.cancelRTO()
-		s.cancelRTO = nil
-	}
-}
+func (s *Sender) cancelRTOTimer() { s.sim.Cancel(s.rto) }
 
 // onRTO rewinds to the cumulative ACK point (go-back-N) after a silent
 // window — the recovery path of last resort when packets were tail-dropped.
 func (s *Sender) onRTO() {
-	s.cancelRTO = nil
 	if !s.Pending() {
 		return
 	}

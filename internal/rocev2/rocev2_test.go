@@ -3,8 +3,8 @@ package rocev2
 import (
 	"testing"
 
+	"dcqcn/internal/engine"
 	"dcqcn/internal/packet"
-	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
 
@@ -12,9 +12,18 @@ func testTuple() packet.FiveTuple {
 	return packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 1000, DstPort: 4791, Proto: 17}
 }
 
-func newSender(cfg Config) (*Sender, *simtest.Clock) {
-	clock := &simtest.Clock{}
-	s := NewSender(1, testTuple(), cfg, clock, FixedRate(40*simtime.Gbps))
+// testClock is the engine core a Sender's timers run on, advanced by
+// hand.
+type testClock struct{ *engine.Sim }
+
+func newTestClock() testClock { return testClock{engine.New(1)} }
+
+// Advance moves the clock forward by d, firing due timers in order.
+func (c testClock) Advance(d simtime.Duration) { c.Run(c.Now().Add(d)) }
+
+func newSender(cfg Config) (*Sender, testClock) {
+	clock := newTestClock()
+	s := NewSender(1, testTuple(), cfg, clock.Sim, FixedRate(40*simtime.Gbps))
 	return s, clock
 }
 
@@ -306,7 +315,7 @@ func TestLossyLoopbackIntegrity(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WindowPackets = 16
 	cfg.RTO = 100 * simtime.Microsecond
-	clock := &simtest.Clock{}
+	clock := newTestClock()
 	var s *Sender
 	r := NewReceiver(1, testTuple(), cfg, func(p *packet.Packet) {
 		switch p.Type {
@@ -317,7 +326,7 @@ func TestLossyLoopbackIntegrity(t *testing.T) {
 		}
 	})
 	done := false
-	s = NewSender(1, testTuple(), cfg, clock, FixedRate(40*simtime.Gbps))
+	s = NewSender(1, testTuple(), cfg, clock.Sim, FixedRate(40*simtime.Gbps))
 	const msgSize = 200 * int64(packet.MTU)
 	s.PostMessage(msgSize, func(Completion) { done = true })
 	drop := 0
