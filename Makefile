@@ -108,14 +108,19 @@ cc:
 		-check-determinism -quiet -out cc-out
 
 # Sharded runtime gate (internal/parallel): the package's own tests —
-# partition soundness, merge-order interleaving invariance, fallback
-# paths — under the race detector, then the sharded golden-digest
-# equivalence: all 16 registered scenarios at 2, 4 and 8 shards must
-# produce digests bit-identical to sequential runs. Finishes with a
-# sweep smoke through the -shards CLI path, determinism gate on.
+# partition soundness, merge-order interleaving invariance, the deferred
+# digest fold, worker retirement, fallback paths — under the race
+# detector, then the sharded golden-digest equivalence: all 16
+# registered scenarios at 2, 4 and 8 shards must produce digests
+# bit-identical to sequential runs. The equivalence runs twice: at the
+# default GOMAXPROCS, where the window barrier spins, and at
+# GOMAXPROCS=1, where every shard count oversubscribes the processors
+# and the barrier's waiters yield instead. Finishes with a sweep smoke
+# through the -shards CLI path, determinism gate on.
 parallel:
 	$(GO) test -race ./internal/parallel/... ./internal/topology/...
 	$(GO) test -race -run TestGoldenDigestsSharded -count=1 ./internal/experiments/
+	GOMAXPROCS=1 $(GO) test -race -run TestGoldenDigestsSharded -count=1 ./internal/experiments/
 	$(GO) run ./cmd/dcqcn-sweep -scenario unfairness -shards 4 -seeds 1 \
 		-check-determinism -quiet -out sweep-out
 

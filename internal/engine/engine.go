@@ -45,7 +45,7 @@ type core struct {
 	halted bool
 	pushes uint64 // equal-time ordinal for control/local pushes
 	ids    uint64 // link-direction ID allocator (NextID)
-	runner func(until simtime.Time)
+	runner Runner
 }
 
 // Sim is a scheduling handle onto a simulator core. The zero value is not
@@ -220,12 +220,20 @@ func (s *Sim) Cancel(h eventq.Handle) { s.c.queue.Cancel(h) }
 // sequential-run facility; the sharded runner ignores it.
 func (s *Sim) Halt() { s.c.halted = true }
 
-// SetRunner installs a replacement run loop: Run(until) delegates to fn
+// Runner is a replacement run loop for a core (see SetRunner).
+type Runner interface {
+	Run(until simtime.Time)
+}
+
+// SetRunner installs a replacement run loop: Run(until) delegates to r
 // instead of executing events locally. The parallel runtime installs its
-// window coordinator here after partitioning a topology; fn is expected
+// window coordinator here after partitioning a topology; r is expected
 // to drive the shard cores and fold their executed events back into this
 // core so Digest stays faithful.
-func (s *Sim) SetRunner(fn func(until simtime.Time)) { s.c.runner = fn }
+func (s *Sim) SetRunner(r Runner) { s.c.runner = r }
+
+// Runner returns the run loop installed with SetRunner, or nil.
+func (s *Sim) Runner() Runner { return s.c.runner }
 
 // Run executes events until the queue is empty or simulated time would
 // pass until. Events scheduled exactly at until still execute. It returns
@@ -234,7 +242,7 @@ func (s *Sim) SetRunner(fn func(until simtime.Time)) { s.c.runner = fn }
 func (s *Sim) Run(until simtime.Time) uint64 {
 	if s.c.runner != nil {
 		start := s.c.events
-		s.c.runner(until)
+		s.c.runner.Run(until)
 		return s.c.events - start
 	}
 	return s.RunLocal(until)

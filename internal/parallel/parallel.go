@@ -33,6 +33,18 @@
 //     executed-event streams in global time order (equal-time fold
 //     order cannot change the digest — see engine.Digest).
 //
+// The coordinator runs shard 0's window itself and hands every other
+// shard's window to a worker goroutine through an atomic generation
+// counter; the worker reports completion through a second one. Windows
+// hold about twenty events, too little work to pay for parking and
+// waking a goroutine per handoff, as a channel would. Waiters spin briefly when every shard
+// can hold a core (len(shards) <= GOMAXPROCS) and otherwise yield the
+// processor between polls. The digest fold of a window is deferred to
+// the next window, where shard 1's worker does it while the coordinator
+// runs shard 0; the coordinator folds any pending window itself before a
+// control turn and before Run returns, so Digest and Events are exact
+// wherever scenario code can read them.
+//
 // Sharding declines quietly (the run stays sequential) when the effective
 // partition has fewer than two shards — a star topology cannot split —
 // or when a global observer that inspects every event is active: the
@@ -41,6 +53,8 @@ package parallel
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"dcqcn/internal/engine"
 	"dcqcn/internal/flightrec"
@@ -63,22 +77,26 @@ type msg struct {
 	out *outboundDir
 }
 
-// shard is one partition of the network on its own core, driven by a
-// worker goroutine. The coordinator communicates through cmd (window
-// horizon to run) and done (window finished); those channel operations
-// are also the happens-before edges that hand the shard's memory back
-// and forth between worker and coordinator.
+// shard is one partition of the network on its own core. Shard 0 is run
+// by the coordinator itself; every other shard by a worker goroutine
+// that lives for one Run call. The coordinator hands a window to a
+// worker by publishing the horizon and bumping gen; the worker answers
+// by storing the same generation into done. Those atomic stores and
+// loads are also the happens-before edges that hand the shard's memory
+// back and forth between worker and coordinator.
 type shard struct {
 	sim *engine.Sim // the shard core's control handle
 	// executed collects the timestamps of events run in the current
-	// window, in execution (= time) order, for the digest merge.
-	executed []simtime.Time
+	// window, in execution (= time) order. After the barrier it swaps
+	// with pending, which holds the previous window's stream until it is
+	// folded into the digest (see coord.fold).
+	executed, pending []simtime.Time
 	// outbox collects cross-shard arrivals generated in the current
-	// window. Only this shard's worker appends; the coordinator drains
+	// window. Only this shard's runner appends; the coordinator drains
 	// it between windows.
 	outbox []msg
-	cmd    chan simtime.Time
-	done   chan struct{}
+	gen    atomic.Uint64 // last window handed out
+	done   atomic.Uint64 // last window finished
 }
 
 // outboundDir is the link.Transport for one direction of a cut link: it
@@ -93,6 +111,28 @@ func (o *outboundDir) Send(at simtime.Time, seq uint64, pkt *packet.Packet) {
 	o.src.outbox = append(o.src.outbox, msg{at: at, seq: seq, pkt: pkt, out: o})
 }
 
+// Stats counts the coordinator's work since the network was sharded.
+type Stats struct {
+	// Windows is the number of conservative windows run in parallel.
+	Windows uint64
+	// ControlTurns is the number of stop-the-world control turns.
+	ControlTurns uint64
+	// Events is the number of events folded into the control core's
+	// digest: every shard-executed event plus every control event. It
+	// equals Digest().Events whenever scenario code can read either.
+	Events uint64
+}
+
+// WindowStats returns the coordinator statistics of a sharded network's
+// control core, and false when the simulation runs sequentially.
+func WindowStats(s *engine.Sim) (Stats, bool) {
+	c, ok := s.Runner().(*coord)
+	if !ok {
+		return Stats{}, false
+	}
+	return c.stats, true
+}
+
 // coord drives the shards through alternating stop-the-world control
 // turns and parallel conservative windows. It is installed as the control
 // core's runner, so net.Sim.Run(until) transparently runs sharded.
@@ -101,7 +141,26 @@ type coord struct {
 	shards    []*shard
 	lookahead simtime.Duration
 	mergeIdx  []int
+	// horizon is the bound of the window being handed out; it is written
+	// before the gen stores that publish it.
+	horizon simtime.Time
+	gen     uint64 // windows handed out in the current Run call
+	// spin lets waiters busy-wait before yielding. It pays only when
+	// every shard can hold a processor of its own; oversubscribed, a
+	// spinning waiter burns the processor the goroutine it waits for
+	// needs.
+	spin bool
+	// stop retires the workers: set before the final gen bump.
+	stop atomic.Bool
+	// pending is set when the shards' pending buffers hold a window not
+	// yet folded into the digest.
+	pending bool
+	stats   Stats
 }
+
+// spinLimit bounds how many times a waiter polls before it starts
+// yielding its processor between polls.
+const spinLimit = 1 << 12
 
 // Shard partitions a freshly built network across up to k cores. It is
 // registered as topology.Sharder and called from the topology builders
@@ -123,14 +182,15 @@ func Shard(n *topology.Network, k int) {
 	c := &coord{ctrl: n.Sim, mergeIdx: make([]int, p.Shards)}
 	for s := 0; s < p.Shards; s++ {
 		core := engine.New(n.Sim.Seed())
-		// Preallocate the per-window buffers: executed is reused across
-		// windows via RunWindow(horizon, executed[:0]) and outbox via the
+		// Preallocate the per-window buffers: executed and pending are
+		// reused across windows by the barrier swap and outbox by the
 		// barrier drain, so seeding real capacity here keeps the first
 		// windows from growing them with repeated reallocation on the
 		// event path.
 		sh := &shard{
 			sim:      core,
 			executed: make([]simtime.Time, 0, 4096),
+			pending:  make([]simtime.Time, 0, 4096),
 			outbox:   make([]msg, 0, 256),
 		}
 		c.shards = append(c.shards, sh)
@@ -156,36 +216,54 @@ func Shard(n *topology.Network, k int) {
 		cl.Link.SetTransport(0, &outboundDir{src: c.shards[cl.A], link: cl.Link, dir: 0})
 		cl.Link.SetTransport(1, &outboundDir{src: c.shards[cl.B], link: cl.Link, dir: 1})
 	}
-	n.Sim.SetRunner(c.run)
+	n.Sim.SetRunner(c)
 }
 
-// serve is the worker loop: run each commanded window on the shard core,
-// collecting executed timestamps, until the coordinator closes cmd.
-func (sh *shard) serve() {
-	for horizon := range sh.cmd {
-		sh.executed = sh.sim.RunWindow(horizon, sh.executed[:0])
-		sh.done <- struct{}{}
+// await returns once v holds gen. It polls, first spinning when c.spin
+// allows, then yielding the processor between polls so an oversubscribed
+// run still lets the goroutine it waits for make progress.
+func (c *coord) await(v *atomic.Uint64, gen uint64) {
+	for i := 0; v.Load() != gen; i++ {
+		if !c.spin || i >= spinLimit {
+			runtime.Gosched()
+		}
 	}
 }
 
-// run is the sharded replacement for the sequential event loop. Workers
+// serve is the worker loop for one shard: run each window handed out,
+// until the coordinator sets stop. Shard 1's worker also folds the
+// previous window's streams into the digest before running its own, so
+// the fold overlaps shard 0's window on the coordinator.
+func (c *coord) serve(sh *shard, folds bool) {
+	for gen := uint64(1); ; gen++ {
+		c.await(&sh.gen, gen)
+		if c.stop.Load() {
+			sh.done.Store(gen)
+			return
+		}
+		if folds {
+			c.fold()
+		}
+		sh.executed = sh.sim.RunWindow(c.horizon, sh.executed)
+		sh.done.Store(gen)
+	}
+}
+
+// Run is the sharded replacement for the sequential event loop. Workers
 // live for the duration of one call; scenario code only ever observes the
 // simulation between Run calls or inside control events, where every
-// worker is parked at a barrier.
-func (c *coord) run(until simtime.Time) {
-	for _, sh := range c.shards {
-		// Fresh channels per Run call: the previous call closed cmd to
-		// retire its workers, and scenarios Run repeatedly (warmup, then
-		// measurement).
-		sh.cmd = make(chan simtime.Time)
-		sh.done = make(chan struct{})
-		go sh.serve()
+// worker waits at the barrier and every executed event has been folded
+// into the digest.
+func (c *coord) Run(until simtime.Time) {
+	c.gen = 0
+	c.spin = len(c.shards) <= runtime.GOMAXPROCS(0)
+	c.stop.Store(false)
+	for i, sh := range c.shards[1:] {
+		sh.gen.Store(0)
+		sh.done.Store(0)
+		go c.serve(sh, i == 0)
 	}
-	defer func() {
-		for _, sh := range c.shards {
-			close(sh.cmd)
-		}
-	}()
+	defer c.retire()
 	for {
 		tc := c.ctrl.NextEventTime()
 		tmin := simtime.Forever
@@ -202,17 +280,21 @@ func (c *coord) run(until simtime.Time) {
 			break
 		}
 		if tc <= tmin {
-			// Control turn, stop-the-world. Shard clocks advance to the
-			// control timestamp first so probes and fault transitions
-			// observe the same "now" everywhere, and so model events the
-			// control code schedules (opening a flow fires its first
-			// send immediately) land at legal times on shard cores.
-			// Running all control events at tc before any shard event at
-			// tc is exactly the sequential equal-time class order.
+			// Control turn, stop-the-world. The deferred fold goes first:
+			// control events fold into the same digest, and probes may
+			// read it. Shard clocks advance to the control timestamp so
+			// probes and fault transitions observe the same "now"
+			// everywhere, and so model events the control code schedules
+			// (opening a flow fires its first send immediately) land at
+			// legal times on shard cores. Running all control events at
+			// tc before any shard event at tc is exactly the sequential
+			// equal-time class order.
+			c.fold()
 			for _, sh := range c.shards {
 				sh.sim.SetNow(tc)
 			}
-			c.ctrl.RunLocal(tc)
+			c.stats.Events += c.ctrl.RunLocal(tc)
+			c.stats.ControlTurns++
 			continue
 		}
 		// Parallel window: every shard may run strictly below horizon —
@@ -233,13 +315,7 @@ func (c *coord) run(until simtime.Time) {
 		if wa := tmin.Add(c.lookahead); wa > tmin && wa < horizon {
 			horizon = wa
 		}
-		for _, sh := range c.shards {
-			sh.cmd <- horizon
-		}
-		for _, sh := range c.shards {
-			<-sh.done
-		}
-		c.mergeExecuted()
+		c.window(horizon)
 		c.injectOutboxes()
 		adv := horizon
 		if adv > until {
@@ -260,12 +336,56 @@ func (c *coord) run(until simtime.Time) {
 	}
 }
 
-// mergeExecuted folds every shard-executed event of the last window into
-// the control core's digest in global time order. Each shard's list is
-// already time-sorted, so this is a k-way merge; ties break by shard
-// index, which the digest cannot observe (equal-time folds commute — see
-// engine.Digest).
-func (c *coord) mergeExecuted() {
+// window runs one conservative window on every shard: the workers' shards
+// on their goroutines, shard 0 on the coordinator, then the barrier. The
+// streams just executed become the pending fold, which shard 1's worker
+// performs at the start of the next window.
+func (c *coord) window(horizon simtime.Time) {
+	c.horizon = horizon
+	c.gen++
+	for _, sh := range c.shards[1:] {
+		sh.gen.Store(c.gen)
+	}
+	sh0 := c.shards[0]
+	sh0.executed = sh0.sim.RunWindow(horizon, sh0.executed)
+	for _, sh := range c.shards[1:] {
+		c.await(&sh.done, c.gen)
+	}
+	for _, sh := range c.shards {
+		sh.executed, sh.pending = sh.pending[:0], sh.executed
+	}
+	c.pending = true
+	c.stats.Windows++
+}
+
+// retire stops the workers, waiting until each has left its loop, then
+// folds any pending window so Digest is exact when Run returns. Stopping
+// first keeps the fold single-threaded even when Run unwinds from a
+// panic in the middle of a window.
+func (c *coord) retire() {
+	c.stop.Store(true)
+	c.gen++
+	for _, sh := range c.shards[1:] {
+		sh.gen.Store(c.gen)
+	}
+	for _, sh := range c.shards[1:] {
+		c.await(&sh.done, c.gen)
+	}
+	c.fold()
+}
+
+// fold merges the pending window's per-shard streams into the control
+// core's digest in global time order, if a window is pending. Each
+// shard's stream is already time-sorted, so this is a k-way merge; ties
+// break by shard index, which the digest cannot observe (equal-time folds
+// commute — see engine.Digest). It runs on shard 1's worker during the
+// next window, or on the coordinator before a control turn and at the end
+// of Run: whoever holds the baton at that point.
+func (c *coord) fold() {
+	if !c.pending {
+		return
+	}
+	c.pending = false
 	idx := c.mergeIdx
 	for i := range idx {
 		idx[i] = 0
@@ -274,8 +394,8 @@ func (c *coord) mergeExecuted() {
 		best := -1
 		var bt simtime.Time
 		for si, sh := range c.shards {
-			if idx[si] < len(sh.executed) {
-				if t := sh.executed[idx[si]]; best < 0 || t < bt {
+			if idx[si] < len(sh.pending) {
+				if t := sh.pending[idx[si]]; best < 0 || t < bt {
 					best, bt = si, t
 				}
 			}
@@ -284,6 +404,7 @@ func (c *coord) mergeExecuted() {
 			return
 		}
 		c.ctrl.FoldExecuted(bt)
+		c.stats.Events++
 		idx[best]++
 	}
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"dcqcn/internal/engine"
@@ -45,16 +47,121 @@ func digestOf(t *testing.T, shards int, until simtime.Time) engine.Digest {
 // TestShardedDigestMatchesSequential is the core bit-identity claim at
 // unit scale: the same testbed workload run sequentially and at every
 // feasible shard count yields the same digest.
+//
+// It runs twice: at the default GOMAXPROCS, where waiters spin at the
+// barrier whenever every shard can hold a core, and at GOMAXPROCS=1,
+// where every shard count oversubscribes and waiters yield at once.
 func TestShardedDigestMatchesSequential(t *testing.T) {
 	until := simtime.Time(2 * simtime.Millisecond)
 	want := digestOf(t, 0, until)
 	if want.Events == 0 {
 		t.Fatal("sequential run executed no events")
 	}
-	for _, shards := range []int{2, 3, 4, 8} {
-		if got := digestOf(t, shards, until); got != want {
-			t.Errorf("shards=%d digest %v, want sequential %v", shards, got, want)
+	for _, procs := range []int{0, 1} {
+		name := "GOMAXPROCS=default"
+		if procs > 0 {
+			name = fmt.Sprintf("GOMAXPROCS=%d", procs)
 		}
+		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, shards := range []int{2, 3, 4, 8} {
+				if got := digestOf(t, shards, until); got != want {
+					t.Errorf("shards=%d digest %v, want sequential %v", shards, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMidRunDigestMatchesSequential guards the deferred digest fold:
+// control events read net.Sim.Digest() at several times mid-run, and each
+// read must equal the sequential run's read at the same time. A window
+// whose fold was still pending at a control turn would show up here as a
+// short count.
+func TestMidRunDigestMatchesSequential(t *testing.T) {
+	reads := func(shards int) []engine.Digest {
+		net := buildTestbed(t, shards)
+		var got []engine.Digest
+		for k := 1; k <= 7; k++ {
+			// Off the 100 µs ticker grid, so each read is a control turn
+			// of its own between windows.
+			at := simtime.Time(k) * simtime.Time(137*simtime.Microsecond)
+			net.Sim.At(at, func() { got = append(got, net.Sim.Digest()) })
+		}
+		net.Sim.Run(simtime.Time(1 * simtime.Millisecond))
+		return got
+	}
+	want := reads(0)
+	if len(want) != 7 || want[0].Events == 0 {
+		t.Fatalf("sequential reads %v: the probes did not see a running simulation", want)
+	}
+	for _, shards := range []int{2, 4} {
+		got := reads(shards)
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("shards=%d: mid-run digest reads %v, want sequential %v", shards, got, want)
+			}
+		}
+	}
+}
+
+// TestShortRunsMatchLongRun drives a sharded network the way the
+// benchmark does — 200 consecutive short Run calls — and checks that the
+// result is the digest of one long Run, that the digest after every call
+// equals a sequential network's stepped the same way, and that every call
+// retires its workers: the goroutine count is back at its baseline. The
+// step is off the ticker's 100 µs grid, so most calls end without a
+// control turn and only Run's own final fold makes the digest exact.
+func TestShortRunsMatchLongRun(t *testing.T) {
+	const steps = 200
+	step := simtime.Time(5017 * simtime.Nanosecond)
+	want := digestOf(t, 2, step*steps)
+	seq, net := buildTestbed(t, 0), buildTestbed(t, 2)
+	base := runtime.NumGoroutine()
+	for i := 1; i <= steps; i++ {
+		seq.Sim.Run(step * simtime.Time(i))
+		net.Sim.Run(step * simtime.Time(i))
+		if got, want := net.Sim.Digest(), seq.Sim.Digest(); got != want {
+			t.Fatalf("after Run call %d: digest %v, sequential %v", i, got, want)
+		}
+		// A retired worker has signalled its exit but may still be
+		// returning; give it a bounded chance to finish.
+		n := runtime.NumGoroutine()
+		for spins := 0; n > base && spins < 1000; spins++ {
+			runtime.Gosched()
+			n = runtime.NumGoroutine()
+		}
+		if n > base {
+			t.Fatalf("after Run call %d: %d goroutines, baseline %d — a worker leaked", i, n, base)
+		}
+	}
+	if got := net.Sim.Digest(); got != want {
+		t.Fatalf("%d short runs: digest %v, one long run %v", steps, got, want)
+	}
+}
+
+// TestWindowStats checks the coordinator's counters: the events it folded
+// are exactly the digest's event count, and the testbed workload runs
+// both parallel windows and control turns (its ticker).
+func TestWindowStats(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariants build: Shard declines and the run stays sequential")
+	}
+	if _, ok := WindowStats(buildTestbed(t, 0).Sim); ok {
+		t.Fatal("a sequential network reported window statistics")
+	}
+	net := buildTestbed(t, 2)
+	net.Sim.Run(simtime.Time(450 * simtime.Microsecond))
+	net.Sim.Run(simtime.Time(1010 * simtime.Microsecond))
+	st, ok := WindowStats(net.Sim)
+	if !ok {
+		t.Fatal("the 2-shard testbed did not shard")
+	}
+	if d := net.Sim.Digest(); st.Events != d.Events {
+		t.Errorf("folded %d events, digest counts %d", st.Events, d.Events)
+	}
+	if st.Windows == 0 || st.ControlTurns == 0 {
+		t.Errorf("stats %+v: want both windows and control turns", st)
 	}
 }
 
