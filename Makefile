@@ -11,7 +11,7 @@ GO ?= go
 # same code (testdata fixtures are excluded by pattern expansion).
 PKGS ?= ./...
 
-.PHONY: check fmt vet lint build test race faults invariants flightrec parallel cc hybrid escape escape-update alloc-budgets bench bench-json sweep-smoke sweep chaos clean
+.PHONY: check fmt vet lint build test race faults invariants flightrec parallel cc hybrid escape escape-update alloc-budgets bench sweep-smoke sweep chaos clean
 
 check: fmt vet lint build faults race invariants flightrec parallel cc hybrid
 
@@ -140,20 +140,6 @@ hybrid:
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .
 
-# Machine-readable benchmark artifacts: flight-recorder overhead
-# (armed vs disarmed incast), the sharded-runtime speedup (sequential
-# vs 2/4/8 shards on a cross-pod incast, digest-checked), the hot-path
-# allocation budgets (ns/op + allocs/op for eventq push/pop, link
-# transmit, switch forward, recorder append), and the hybrid-substrate
-# scaling (ns/sim-ms at 0/10k/100k/1M background flows plus the
-# speedup over a packet-equivalent extrapolation).
-bench-json:
-	BENCH_JSON=BENCH_5.json $(GO) test -run TestBenchArtifact -v .
-	BENCH_JSON=BENCH_6.json $(GO) test -run TestShardedBenchArtifact -v .
-	BENCH_JSON=$(CURDIR)/BENCH_7.json $(GO) test -run TestAllocBudgetArtifact -v ./internal/flightrec/
-	BENCH_JSON=$(CURDIR)/BENCH_8.json $(GO) test -run TestCCBenchArtifact -v ./internal/cc/
-	BENCH_JSON=BENCH_10.json $(GO) test -run TestHybridBenchArtifact -v .
-
 # Quick end-to-end exercise of the harness: one scenario, 4 workers,
 # determinism gate on. Artifacts land in sweep-out/. Then the -paper
 # path on one registry-backed entry (sec7-loss, swept into
@@ -175,5 +161,6 @@ chaos:
 	$(GO) run ./cmd/dcqcn-sweep -scenario 'chaos-*' -seeds 1 -parallel 0 \
 		-check-determinism -quiet -out chaos-out
 
+# Every output directory, perfbench's build and result cache included.
 clean:
-	rm -rf sweep-out chaos-out cc-out hybrid-out
+	rm -rf sweep-out chaos-out cc-out hybrid-out .bench_build

@@ -16,8 +16,9 @@
 //
 // -hybrid -bg-flows=N puts N long-lived background flows under the
 // incast as a fluid DCQCN substrate (internal/hybrid): they press on
-// the same shared buffer and ECN marking the incast sees, at a cost
-// independent of N — 1M flows run as fast as 10.
+// the same shared buffer and ECN marking the incast sees. Each 10 µs
+// integration step costs O(ports + classes), independent of N
+// (DESIGN.md §15).
 package main
 
 import (

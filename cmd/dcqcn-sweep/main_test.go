@@ -26,6 +26,7 @@ func TestUnknownCCFailsCleanly(t *testing.T) {
 		{"negative-bg-flows", []string{"-hybrid", "-bg-flows", "-5"}, []string{"-bg-flows", "-5"}, ""},
 		{"negative-shards", []string{"-shards", "-1"}, []string{"-shards", "-1"}, ""},
 		{"unknown-paper-entry", []string{"-paper", "-scenario", "fig99"}, []string{`"fig99"`, "-paper -list"}, "dcqcn-sweep"},
+		{"trailing-cc-params", []string{"-cc-params", "{} x"}, []string{"dcqcn params", "trailing data"}, "dcqcn-sweep"},
 	}
 	for _, cli := range []string{"dcqcn-sweep", "dcqcn-sim"} {
 		cli := cli

@@ -28,8 +28,10 @@
 package cc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -326,13 +328,18 @@ func (s Selection) ParamsJSON() json.RawMessage {
 }
 
 // ApplyParamsJSON overlays a JSON object onto the selection's parameter
-// struct and revalidates — the `-cc-params` path. Unknown fields are
-// rejected so typos fail loudly.
+// struct and revalidates — the `-cc-params` path. Unknown fields and
+// anything after the object but whitespace are rejected so typos fail
+// loudly.
 func (s *Selection) ApplyParamsJSON(data []byte) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(s.Params); err != nil {
 		return fmt.Errorf("cc: %s params: %w", s.Name, err)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return fmt.Errorf("cc: %s params: trailing data after the JSON object", s.Name)
 	}
 	if err := s.Params.Validate(); err != nil {
 		return fmt.Errorf("cc: %s params: %w", s.Name, err)

@@ -144,7 +144,7 @@ func TestParseSelections(t *testing.T) {
 }
 
 // TestApplyParamsJSON covers the -cc-params overlay: refinement works,
-// unknown fields and validation failures are rejected.
+// unknown fields, trailing data and validation failures are rejected.
 func TestApplyParamsJSON(t *testing.T) {
 	sel, err := Select("dctcp", testLineRate)
 	if err != nil {
@@ -161,5 +161,14 @@ func TestApplyParamsJSON(t *testing.T) {
 	}
 	if err := sel.ApplyParamsJSON([]byte(`{"G": -1}`)); err == nil {
 		t.Error("invalid overlay accepted")
+	}
+	// A failed overlay can leave sel invalid, so the trailing-data case
+	// starts from fresh, valid defaults: only the trailing data can fail.
+	fresh, err := Select("dcqcn", testLineRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.ApplyParamsJSON([]byte(`{} garbage {"nope": 1}`)); err == nil {
+		t.Error("trailing data after the object accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -62,6 +63,49 @@ func TestValidateFuzz(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCCParamsJSON drives the -cc-params overlay with arbitrary bytes
+// against every registered algorithm. ApplyParamsJSON must never panic;
+// when it accepts the input, the result must validate and its
+// ParamsJSON must re-apply onto fresh defaults to the same parameters.
+func FuzzCCParamsJSON(f *testing.F) {
+	names := Names()
+	for i, name := range names {
+		sel, err := Select(name, testLineRate)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), []byte(sel.ParamsJSON()))
+		f.Add(uint8(i), []byte(`{} garbage {"nope": 1}`))
+		if name == "policy" {
+			f.Add(uint8(i), []byte(`{"rules": [{"signal": "cnp", "action": "scale", "arg": 0.5},
+				{"signal": "rtt_us", "lo": 50, "action": "set_gbps", "arg": 10}]}`))
+		}
+	}
+	f.Fuzz(func(t *testing.T, algo uint8, data []byte) {
+		name := names[int(algo)%len(names)]
+		sel, err := Select(name, testLineRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.ApplyParamsJSON(data) != nil {
+			return
+		}
+		if err := sel.Params.Validate(); err != nil {
+			t.Fatalf("%s accepted %q but its params do not validate: %v", name, data, err)
+		}
+		again, err := Select(name, testLineRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.ApplyParamsJSON(sel.ParamsJSON()); err != nil {
+			t.Fatalf("%s: ParamsJSON after %q does not re-apply: %v", name, data, err)
+		}
+		if got, want := again.ParamsJSON(), sel.ParamsJSON(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: round trip after %q gives %s, want %s", name, data, got, want)
+		}
+	})
 }
 
 func mustDefaults(t *testing.T, name string) Params {

@@ -4,7 +4,8 @@
 // recorder's append path encodes one event with no per-event heap
 // allocation — the only allocations are the chunk header and buffer a
 // seal creates every ~64KiB of encoding, amortized across thousands of
-// records. Race builds skip the budget.
+// records. BenchmarkRecorderAppend times the same path. Race builds
+// skip both.
 
 package flightrec
 
@@ -35,5 +36,18 @@ func TestAllocBudgetRecord(t *testing.T) {
 	}
 	if r.EventsRecorded() == 0 {
 		t.Fatal("nothing recorded — the measurement exercised nothing")
+	}
+}
+
+// BenchmarkRecorderAppend measures the flight recorder's encode-and-
+// append path for one event.
+func BenchmarkRecorderAppend(b *testing.B) {
+	b.ReportAllocs()
+	sim := engine.New(1)
+	r := newRecorder(&topology.Network{Sim: sim}, Config{})
+	id := r.intern("S0.p1")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.record(KindEnqueue, id, packet.Data, 7, int64(i), 1000, 3, 0, 0)
 	}
 }
